@@ -103,10 +103,13 @@ type line struct {
 	lastUse uint64
 }
 
-// Cache is one core's L1D.
+// Cache is one core's L1D. Its lines are one flat array indexed
+// set*Ways+way, allocated on the first fill: until then every lookup
+// misses, exactly as an all-Invalid cache would.
 type Cache struct {
 	cfg   Config
-	sets  [][]line
+	nsets int
+	lines []line // nil until the first fill
 	stats Stats
 }
 
@@ -140,11 +143,7 @@ func NewSystem(ncores int, cfg Config) (*System, error) {
 	}
 	s := &System{cfg: cfg, caches: make([]*Cache, ncores)}
 	for i := range s.caches {
-		sets := make([][]line, cfg.sets())
-		for j := range sets {
-			sets[j] = make([]line, cfg.Ways)
-		}
-		s.caches[i] = &Cache{cfg: cfg, sets: sets}
+		s.caches[i] = &Cache{cfg: cfg, nsets: cfg.sets()}
 	}
 	return s, nil
 }
@@ -179,8 +178,8 @@ func (s *System) Access(core int, wordAddr int64, kind AccessKind) State {
 	s.tick++
 	c := s.caches[core]
 	block := s.blockOf(wordAddr)
-	set := int(block % int64(len(c.sets)))
-	tag := block / int64(len(c.sets))
+	set := int(block % int64(c.nsets))
+	tag := block / int64(c.nsets)
 
 	if kind == Load {
 		c.stats.Loads++
@@ -249,18 +248,27 @@ func (s *System) Access(core int, wordAddr int64, kind AccessKind) State {
 func (s *System) Peek(core int, wordAddr int64) State {
 	c := s.caches[core]
 	block := s.blockOf(wordAddr)
-	set := int(block % int64(len(c.sets)))
-	tag := block / int64(len(c.sets))
+	set := int(block % int64(c.nsets))
+	tag := block / int64(c.nsets)
 	if ln := c.find(set, tag); ln != nil {
 		return ln.state
 	}
 	return Invalid
 }
 
-// find returns the line holding tag in the set, whatever its state, or nil.
+// set returns the ways of one set; nil before the cache's first fill.
+func (c *Cache) set(set int) []line {
+	if c.lines == nil {
+		return nil
+	}
+	return c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
+}
+
+// find returns the valid line holding tag in the set, or nil.
 func (c *Cache) find(set int, tag int64) *line {
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
+	lines := c.set(set)
+	for i := range lines {
+		ln := &lines[i]
 		if ln.tag == tag && ln.state != Invalid {
 			return ln
 		}
@@ -270,8 +278,12 @@ func (c *Cache) find(set int, tag int64) *line {
 
 // victim picks the line to replace in the set: an Invalid line if any,
 // otherwise the least recently used. A valid victim counts as an eviction.
+// The first fill allocates the cache's lines.
 func (c *Cache) victim(set int) *line {
-	lines := c.sets[set]
+	if c.lines == nil {
+		c.lines = make([]line, c.nsets*c.cfg.Ways)
+	}
+	lines := c.set(set)
 	var v *line
 	for i := range lines {
 		ln := &lines[i]
@@ -341,15 +353,13 @@ func (s *System) CheckInvariants() error {
 	}
 	holders := make(map[[2]int64][]holder)
 	for id, c := range s.caches {
-		for setIdx, set := range c.sets {
-			for i := range set {
-				ln := &set[i]
-				if ln.state == Invalid {
-					continue
-				}
-				key := [2]int64{int64(setIdx), ln.tag}
-				holders[key] = append(holders[key], holder{id, ln.state})
+		for i := range c.lines {
+			ln := &c.lines[i]
+			if ln.state == Invalid {
+				continue
 			}
+			key := [2]int64{int64(i / c.cfg.Ways), ln.tag}
+			holders[key] = append(holders[key], holder{id, ln.state})
 		}
 	}
 	for key, hs := range holders {

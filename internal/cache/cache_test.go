@@ -252,3 +252,58 @@ func TestStateString(t *testing.T) {
 		t.Error("AccessKind strings wrong")
 	}
 }
+
+// A core that never accessed memory holds no lines: it peeks Invalid,
+// reports zero statistics, is skipped by other cores' snoops without
+// being filled, and joins the domain coherently on its first access and
+// through a mixed stream over all four cores.
+func TestUntouchedCoreIsEmpty(t *testing.T) {
+	s := sys(t, 4)
+	rng := rand.New(rand.NewSource(9))
+	idle := s.caches[3]
+	for i := 0; i < 2000; i++ {
+		core := rng.Intn(3) // core 3 stays idle
+		// Addresses that collide in a few sets, so lines are evicted too.
+		addr := int64(rng.Intn(8))*int64(DefaultConfig.sets())*8 + int64(rng.Intn(4))*8
+		kind := Load
+		if rng.Intn(3) == 0 {
+			kind = Store
+		}
+		s.Access(core, addr, kind)
+		if st := s.Peek(3, addr); st != Invalid {
+			t.Fatalf("idle core peeks %v at %d", st, addr)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("access %d: %v", i, err)
+		}
+	}
+	if idle.lines != nil {
+		t.Error("snoops filled the idle core's lines")
+	}
+	if st := s.Stats(3); st != (Stats{}) {
+		t.Errorf("idle core stats = %+v, want zero", st)
+	}
+	if s.Stats(0).Evictions == 0 {
+		t.Error("stream evicted nothing; widen the address collisions")
+	}
+	// The idle core's first access fills it and keeps the domain coherent.
+	if st := s.Access(3, 0, Store); st != Invalid {
+		t.Errorf("first access observed %v, want I", st)
+	}
+	if st := s.Peek(3, 0); st != Modified {
+		t.Errorf("after store the core holds %v, want M", st)
+	}
+	for core := 0; core < 3; core++ {
+		if st := s.Peek(core, 0); st != Invalid {
+			t.Errorf("core %d still holds %v after a remote store", core, st)
+		}
+	}
+	// Then a mixed stream over all four cores.
+	for i := 0; i < 2000; i++ {
+		addr := int64(rng.Intn(8))*int64(DefaultConfig.sets())*8 + int64(rng.Intn(4))*8
+		s.Access(rng.Intn(4), addr, AccessKind(rng.Intn(2)))
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("four-core access %d: %v", i, err)
+		}
+	}
+}

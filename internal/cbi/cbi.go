@@ -8,7 +8,7 @@
 // experiments use branch predicates only, 1/100 sampling, and 1000 success
 // plus 1000 failure runs (§7.2); LBRA reaches its verdict from 10+10.
 //
-// The instrumentation attaches to the VM as a step hook and charges the
+// The instrumentation attaches to the VM as a branch hook and charges the
 // fast-path/slow-path cycle costs every instrumented site pays, which is
 // how the baseline's run-time overhead (Table 6's CBI column, avg ~15%)
 // is reproduced.
@@ -110,11 +110,13 @@ func NewObserver(rate float64, seed int64) *Observer {
 // §8): uninstrumented sites cost nothing and observe nothing.
 func (o *Observer) Restrict(active map[string]bool) { o.active = active }
 
-// Attach installs the instrumentation hook on the machine.
+// Attach installs the instrumentation hook on the machine. It runs at the
+// source-branch sites only; of those, the conditional jumps are the
+// instrumented predicates (the inserted fall-through jumps are not).
 func (o *Observer) Attach(m *vm.Machine) {
 	prog := m.Prog()
-	m.SetStepHook(func(m *vm.Machine, t *vm.Thread, in *isa.Instr) {
-		if !in.Op.IsCond() || in.BranchID == isa.NoBranch {
+	m.SetBranchHook(func(m *vm.Machine, t *vm.Thread, in *isa.Instr) {
+		if !in.Op.IsCond() {
 			return
 		}
 		if o.active != nil && !o.active[prog.BranchName(in.BranchID)] {

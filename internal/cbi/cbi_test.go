@@ -1,8 +1,10 @@
 package cbi
 
 import (
+	"reflect"
 	"testing"
 
+	"stmdiag/internal/apps"
 	"stmdiag/internal/isa"
 	"stmdiag/internal/vm"
 )
@@ -151,5 +153,89 @@ func TestRankDegenerate(t *testing.T) {
 	}
 	if RankOf(scores, func(Pred) bool { return true }) != 0 {
 		t.Error("zero-importance predicate ranked")
+	}
+}
+
+// attachStepRef instruments m the way Attach did before the VM had a
+// branch hook: a per-instruction step hook that filters for conditional
+// jumps carrying a source branch. It is the reference the branch-site hook
+// must reproduce exactly.
+func attachStepRef(o *Observer, m *vm.Machine) {
+	prog := m.Prog()
+	m.SetStepHook(func(m *vm.Machine, t *vm.Thread, in *isa.Instr) {
+		if !in.Op.IsCond() || in.BranchID == isa.NoBranch {
+			return
+		}
+		if o.active != nil && !o.active[prog.BranchName(in.BranchID)] {
+			return
+		}
+		m.AddCycles(vm.CostSampleCheck)
+		if o.rng.Float64() >= o.rate {
+			return
+		}
+		m.AddCycles(vm.CostSampleSlow)
+		name := prog.BranchName(in.BranchID)
+		outcome := in.Edge
+		if !vm.CondTaken(in.Op, t.Flags) {
+			outcome = in.Edge.Opposite()
+		}
+		for _, e := range []isa.BranchEdge{isa.EdgeFalse, isa.EdgeTrue} {
+			o.obs.Observed[Pred{name, e}] = true
+		}
+		o.obs.True[Pred{name, outcome}] = true
+	})
+}
+
+// The branch-site hook observes the same predicates, draws the sampling
+// RNG in the same order and charges the same cycles as the per-instruction
+// step-hook filter it replaced, on hand-written and benchmark programs,
+// whole or restricted.
+func TestBranchHookMatchesStepHookFilter(t *testing.T) {
+	type trial struct {
+		name string
+		prog *isa.Program
+		opts vm.Options
+	}
+	trials := []trial{
+		{"cbidemo/fail", prog(t), vm.Options{Seed: 3, Globals: map[string]int64{"n": 20}}},
+		{"cbidemo/succeed", prog(t), vm.Options{Seed: 4, Globals: map[string]int64{"n": 5}}},
+	}
+	for _, name := range []string{"sort", "PBZIP1", "MySQL1"} {
+		a := apps.ByName(name)
+		if a == nil {
+			t.Fatalf("no app %q", name)
+		}
+		trials = append(trials,
+			trial{name + "/fail", a.Program(), a.Fail.VMOptions(11)},
+			trial{name + "/succeed", a.Program(), a.Succeed.VMOptions(12)})
+	}
+	for _, tr := range trials {
+		for _, restrict := range []bool{false, true} {
+			for _, rate := range []float64{DefaultRate, 0.5, 1} {
+				run := func(attach func(*Observer, *vm.Machine)) (RunObs, uint64) {
+					m, err := vm.New(tr.prog, tr.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o := NewObserver(rate, 77)
+					if restrict && len(tr.prog.Branches) > 0 {
+						o.Restrict(map[string]bool{tr.prog.Branches[0].Name: true})
+					}
+					attach(o, m)
+					res, err := m.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return o.Finish(res.Failed()), res.Cycles
+				}
+				got, gotCycles := run((*Observer).Attach)
+				want, wantCycles := run(attachStepRef)
+				if !reflect.DeepEqual(got, want) || gotCycles != wantCycles {
+					t.Errorf("%s restrict=%v rate=%v: branch hook %d cycles, %d/%d preds; step hook %d cycles, %d/%d preds",
+						tr.name, restrict, rate, gotCycles, len(got.Observed), len(got.True),
+						wantCycles, len(want.Observed), len(want.True))
+				}
+			}
+		}
 	}
 }

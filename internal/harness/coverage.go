@@ -64,10 +64,7 @@ func RunCoverage(p *isa.Program, opts vm.Options, periodSteps int) (*CoverageRes
 	if err != nil {
 		return nil, err
 	}
-	mTruth.SetStepHook(func(m *vm.Machine, t *vm.Thread, in *isa.Instr) {
-		if in.BranchID == isa.NoBranch {
-			return
-		}
+	mTruth.SetBranchHook(func(m *vm.Machine, t *vm.Thread, in *isa.Instr) {
 		if in.Op.IsCond() {
 			edge := in.Edge
 			if !vm.CondTaken(in.Op, t.Flags) {

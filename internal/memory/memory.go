@@ -27,19 +27,50 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("segmentation fault: invalid %s at word address %d", kind, f.Addr)
 }
 
-// Segment is a contiguous mapped region.
+// pageShift sets the backing page size: 1<<pageShift words (4 KiB).
+const (
+	pageShift = 9
+	pageWords = 1 << pageShift
+)
+
+// page is one fixed-size block of backing words.
+type page [pageWords]int64
+
+// Segment is a contiguous mapped region. Its words are backed in pages
+// allocated on the first store into them; a word no store has reached
+// reads as 0, so a segment behaves as zero-filled from the moment it is
+// mapped while costing nothing until it is written.
 type Segment struct {
 	// Name identifies the segment in diagnostics ("globals", "stack0"...).
 	Name string
 	// Base is the first mapped word address.
 	Base int64
-	// Words is the backing store; the segment spans [Base, Base+len).
-	Words []int64
+
+	size  int64   // the segment spans [Base, Base+size)
+	pages []*page // nil until a store touches the page
 }
 
 // Contains reports whether the word address falls inside the segment.
 func (s *Segment) Contains(addr int64) bool {
-	return addr >= s.Base && addr < s.Base+int64(len(s.Words))
+	return addr >= s.Base && addr < s.Base+s.size
+}
+
+// load reads the word at offset off from Base.
+func (s *Segment) load(off int64) int64 {
+	if p := s.pages[off>>pageShift]; p != nil {
+		return p[off&(pageWords-1)]
+	}
+	return 0
+}
+
+// store writes the word at offset off from Base, backing its page first.
+func (s *Segment) store(off, val int64) {
+	p := s.pages[off>>pageShift]
+	if p == nil {
+		p = new(page)
+		s.pages[off>>pageShift] = p
+	}
+	p[off&(pageWords-1)] = val
 }
 
 // Memory is a collection of non-overlapping segments.
@@ -57,12 +88,13 @@ func (m *Memory) Map(name string, base, size int64) (*Segment, error) {
 		return nil, fmt.Errorf("memory: map %s: negative size %d", name, size)
 	}
 	for _, s := range m.segs {
-		if base < s.Base+int64(len(s.Words)) && s.Base < base+size {
+		if base < s.Base+s.size && s.Base < base+size {
 			return nil, fmt.Errorf("memory: map %s [%d,%d) overlaps %s [%d,%d)",
-				name, base, base+size, s.Name, s.Base, s.Base+int64(len(s.Words)))
+				name, base, base+size, s.Name, s.Base, s.Base+s.size)
 		}
 	}
-	seg := &Segment{Name: name, Base: base, Words: make([]int64, size)}
+	seg := &Segment{Name: name, Base: base, size: size,
+		pages: make([]*page, (size+pageWords-1)>>pageShift)}
 	m.segs = append(m.segs, seg)
 	return seg, nil
 }
@@ -83,7 +115,7 @@ func (m *Memory) Load(addr int64) (int64, error) {
 	if s == nil {
 		return 0, &Fault{Addr: addr}
 	}
-	return s.Words[addr-s.Base], nil
+	return s.load(addr - s.Base), nil
 }
 
 // Store writes the word at addr.
@@ -92,7 +124,7 @@ func (m *Memory) Store(addr, val int64) error {
 	if s == nil {
 		return &Fault{Addr: addr, Write: true}
 	}
-	s.Words[addr-s.Base] = val
+	s.store(addr-s.Base, val)
 	return nil
 }
 

@@ -122,8 +122,7 @@ func TestStoreLoadQuick(t *testing.T) {
 func TestFaultQuick(t *testing.T) {
 	m := New()
 	const base, size = 4096, 64
-	seg, err := m.Map("g", base, size)
-	if err != nil {
+	if _, err := m.Map("g", base, size); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Store(base, 7); err != nil {
@@ -143,9 +142,58 @@ func TestFaultQuick(t *testing.T) {
 		if _, err := m.Load(addr); err == nil {
 			return false
 		}
-		return seg.Words[0] == 7
+		v, err := m.Load(base)
+		return err == nil && v == 7
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// An untouched word reads as 0 without backing its page, values survive a
+// page boundary and the segment's last word, and the words just outside
+// still fault.
+func TestLazyPages(t *testing.T) {
+	m := New()
+	const base, size = 4096, 3*pageWords + 5
+	seg, err := m.Map("g", base, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []int64{base, base + pageWords, base + size - 1} {
+		if v, err := m.Load(addr); err != nil || v != 0 {
+			t.Fatalf("untouched Load(%d) = %d, %v; want 0", addr, v, err)
+		}
+	}
+	for _, p := range seg.pages {
+		if p != nil {
+			t.Fatal("a load backed a page")
+		}
+	}
+	writes := map[int64]int64{
+		base + pageWords - 1: 11, // last word of the first page
+		base + pageWords:     12, // first word of the second
+		base + size - 1:      13, // the segment's last word, in a partial page
+	}
+	for addr, v := range writes {
+		if err := m.Store(addr, v); err != nil {
+			t.Fatalf("Store(%d): %v", addr, err)
+		}
+	}
+	for addr, want := range writes {
+		if v, err := m.Load(addr); err != nil || v != want {
+			t.Errorf("Load(%d) = %d, %v; want %d", addr, v, err, want)
+		}
+	}
+	if v, err := m.Load(base + 2*pageWords); err != nil || v != 0 {
+		t.Errorf("untouched word in a backed segment = %d, %v; want 0", v, err)
+	}
+	for _, addr := range []int64{base - 1, base + size} {
+		if _, err := m.Load(addr); err == nil {
+			t.Errorf("Load(%d) outside the segment did not fault", addr)
+		}
+		if err := m.Store(addr, 1); err == nil {
+			t.Errorf("Store(%d) outside the segment did not fault", addr)
+		}
 	}
 }

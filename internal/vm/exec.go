@@ -22,11 +22,11 @@ func (m *Machine) step(t *Thread) (yield bool, err error) {
 	pc := t.PC
 	m.res.Steps++
 	m.res.Cycles += CostInstr
-	if m.tel.instrs != nil {
-		m.tel.instrs[t.Core].Inc()
-	}
 	if m.hookStep != nil {
 		m.hookStep(m, t, in)
+	}
+	if m.hookBranch != nil && in.BranchID != isa.NoBranch {
+		m.hookBranch(m, t, in)
 	}
 	next := pc + 1
 

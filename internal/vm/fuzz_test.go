@@ -29,7 +29,7 @@ func FuzzRunProgram(f *testing.F) {
 			// exhaustion of the address space, which Map reports.
 			t.Fatalf("vm error on valid program: %v\nsource:\n%s", err, src)
 		}
-		if res.Steps > 20_000+1 {
+		if res.Steps > 20_000 {
 			t.Fatalf("step limit not enforced: %d", res.Steps)
 		}
 	})

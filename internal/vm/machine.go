@@ -25,7 +25,8 @@ type Driver interface {
 // or a log-driven replayer.
 type SchedSource interface {
 	// Pick chooses among the runnable thread IDs, returning an index into
-	// the slice.
+	// the slice. The slice is the machine's scratch buffer, overwritten
+	// before the next call: implementations must not retain it.
 	Pick(runnable []int) int
 	// Quantum returns the slice length in [min, max].
 	Quantum(min, max int) int
@@ -320,15 +321,17 @@ type Machine struct {
 	cores []*Core
 
 	threads []*Thread
+	runq    []int // runnable IDs, rebuilt in place every quantum
 	mutexes map[int64]*mutexState
 	rng     *rand.Rand
 
-	res       Result
-	attrs     []isa.FuncAttr // per-PC function attributes
-	exited    bool
-	hookStep  func(m *Machine, t *Thread, in *isa.Instr)
-	hookCoher func(m *Machine, t *Thread, pc int, kind cache.AccessKind, st cache.State)
-	tel       vmTelemetry
+	res        Result
+	attrs      []isa.FuncAttr // per-PC function attributes
+	exited     bool
+	hookStep   func(m *Machine, t *Thread, in *isa.Instr)
+	hookBranch func(m *Machine, t *Thread, in *isa.Instr)
+	hookCoher  func(m *Machine, t *Thread, pc int, kind cache.AccessKind, st cache.State)
+	tel        vmTelemetry
 }
 
 // New builds a machine for the program. Most callers use Run.
@@ -458,10 +461,19 @@ func (m *Machine) KernelPC(pc int) bool {
 	return pc >= 0 && pc < len(m.attrs) && m.attrs[pc].Has(isa.AttrKernel)
 }
 
-// SetStepHook installs a per-retired-instruction callback, used by the CBI
-// instrumentation to observe branch outcomes under sampling.
+// SetStepHook installs a per-retired-instruction callback, for
+// instrumentation that samples the execution by instruction count (the
+// THeME-style periodic LBR drain).
 func (m *Machine) SetStepHook(h func(m *Machine, t *Thread, in *isa.Instr)) {
 	m.hookStep = h
+}
+
+// SetBranchHook installs a callback run only at retired instructions that
+// embody a source-branch edge (BranchID != isa.NoBranch): the sites the
+// CBI instrumentation observes. It fires at the same point of the step as
+// the step hook, after it, before the instruction executes.
+func (m *Machine) SetBranchHook(h func(m *Machine, t *Thread, in *isa.Instr)) {
+	m.hookBranch = h
 }
 
 // SetCoherenceHook installs a per-retired-data-access callback carrying
@@ -504,14 +516,16 @@ func (m *Machine) spawnThread(entry int, arg int64, parent int) (*Thread, error)
 // Threads returns all threads (any state).
 func (m *Machine) Threads() []*Thread { return m.threads }
 
-// runnable returns the IDs of runnable threads.
+// runnable returns the IDs of runnable threads in the machine's scratch
+// buffer, valid until the next call.
 func (m *Machine) runnable() []int {
-	var ids []int
+	ids := m.runq[:0]
 	for _, t := range m.threads {
 		if t.State == ThreadRunnable {
 			ids = append(ids, t.ID)
 		}
 	}
+	m.runq = ids
 	return ids
 }
 
@@ -527,6 +541,10 @@ func (m *Machine) fail(ev FailureEvent) {
 
 // Run drives the scheduler loop until exit, deadlock, or the step limit.
 func (m *Machine) Run() (*Result, error) {
+	step := (*Machine).step
+	if m.tel.prof != nil {
+		step = (*Machine).stepProf
+	}
 	for !m.exited {
 		ids := m.runnable()
 		if len(ids) == 0 {
@@ -547,18 +565,17 @@ func (m *Machine) Run() (*Result, error) {
 		}
 		t := m.threads[ids[m.opts.Sched.Pick(ids)]]
 		quantum := m.opts.Sched.Quantum(m.opts.QuantumMin, m.opts.QuantumMax)
-		quantumStart := m.res.Cycles
-		for q := 0; q < quantum && t.State == ThreadRunnable && !m.exited; q++ {
-			if m.res.Steps >= m.opts.StepLimit {
-				// Hang: profile the spinning thread where it stands, the
-				// way an operator interrupting the stuck process would.
-				m.runSegvHandler(t, t.PC)
-				m.fail(FailureEvent{Kind: FailHang, PC: t.PC, Thread: t.ID,
-					Msg: fmt.Sprintf("hang: step limit %d exceeded", m.opts.StepLimit)})
-				m.exited = true
-				break
-			}
-			yield, err := m.stepProf(t)
+		quantumStart, stepsStart := m.res.Cycles, m.res.Steps
+		// Every retired step counts one toward the limit, so the quantum
+		// is cut to the steps left. step yields whenever the thread stops
+		// running or the machine exits, which ends the quantum early.
+		budget := quantum
+		if left := m.opts.StepLimit - m.res.Steps; budget > 0 && uint64(budget) > left {
+			budget = int(left)
+		}
+		q := 0
+		for ; q < budget; q++ {
+			yield, err := step(m, t)
 			if err != nil {
 				return nil, err
 			}
@@ -566,7 +583,16 @@ func (m *Machine) Run() (*Result, error) {
 				break
 			}
 		}
+		if q == budget && budget < quantum {
+			// Hang: profile the spinning thread where it stands, the way
+			// an operator interrupting the stuck process would.
+			m.runSegvHandler(t, t.PC)
+			m.fail(FailureEvent{Kind: FailHang, PC: t.PC, Thread: t.ID,
+				Msg: fmt.Sprintf("hang: step limit %d exceeded", m.opts.StepLimit)})
+			m.exited = true
+		}
 		if m.tel.sink != nil {
+			m.tel.instrs[t.Core].Add(m.res.Steps - stepsStart)
 			if t.State == ThreadRunnable && !m.exited {
 				m.tel.preempts[t.Core].Inc()
 			}

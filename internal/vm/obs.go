@@ -64,13 +64,10 @@ func (m *Machine) attachObs(s *obs.Sink) {
 }
 
 // stepProf dispatches one step, attributing its cycle-clock delta to the
-// fetched opcode when profiling is armed. Attribution only reads the
-// machine (PC, cycle counter), so the simulation itself is bit-identical
-// with profiling on or off.
+// fetched opcode; Run steps through it instead of step when profiling is
+// armed. Attribution only reads the machine (PC, cycle counter), so the
+// simulation itself is bit-identical with profiling on or off.
 func (m *Machine) stepProf(t *Thread) (yield bool, err error) {
-	if m.tel.prof == nil {
-		return m.step(t)
-	}
 	slot := prof.InvalidSlot
 	if t.PC >= 0 && t.PC < len(m.prog.Instrs) {
 		slot = prof.Slot(m.prog.Instrs[t.PC].Op)

@@ -327,6 +327,12 @@ echo "== bench smoke"
 # benchmark end to end, writing under \$TMPDIR.
 sh scripts/bench.sh --smoke
 
+echo "== perfbench smoke"
+# The repository benchmark is a module of its own (perfbench/go.mod): a
+# few ops per workload prove it still builds against the packages it
+# drives and still fails an op whose output is corrupted.
+python3 perfbench/run.py --smoke
+
 echo "== benchdiff (warn-only)"
 # Compares the smoke pass against the committed baselines. Smoke timings
 # use tiny run counts on whatever machine this is, so regressions only
