@@ -79,11 +79,16 @@ func Slot(op isa.Op) int {
 }
 
 // Observe attributes one dispatched step's cycle delta to a slot.
-func (p *VMProf) Observe(slot int, cycles uint64) {
+func (p *VMProf) Observe(slot int, cycles uint64) { p.ObserveN(slot, 1, cycles) }
+
+// ObserveN attributes n retired instructions and their summed cycles to a
+// slot: the VM's batched register-only runs account a whole fused run at
+// once.
+func (p *VMProf) ObserveN(slot int, n, cycles uint64) {
 	if slot < 0 || slot >= OpSlots {
 		slot = InvalidSlot
 	}
-	p.counts[slot]++
+	p.counts[slot] += n
 	p.cycles[slot] += cycles
 }
 

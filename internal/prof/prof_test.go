@@ -75,6 +75,20 @@ func TestVMProfObserveFlush(t *testing.T) {
 	}
 }
 
+// ObserveN(slot, n, c) accumulates exactly what n Observes of c/n each do:
+// the VM attributes a batched register-only run this way.
+func TestVMProfObserveN(t *testing.T) {
+	one, batched := NewVMProf(), NewVMProf()
+	for i := 0; i < 5; i++ {
+		one.Observe(Slot(isa.OpAddi), 1)
+	}
+	batched.ObserveN(Slot(isa.OpAddi), 5, 5)
+	batched.ObserveN(OpSlots+1, 0, 0) // clamps; adds nothing
+	if *one != *batched {
+		t.Errorf("ObserveN(5) = %+v, want %+v", *batched, *one)
+	}
+}
+
 func TestClassOf(t *testing.T) {
 	for mnemonic, want := range map[string]string{
 		"jmp":     "branch",

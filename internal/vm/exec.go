@@ -31,13 +31,6 @@ func (m *Machine) step(t *Thread) (yield bool, err error) {
 	next := pc + 1
 
 	switch in.Op {
-	case isa.OpNop:
-	case isa.OpMovi:
-		t.Regs[in.Rd] = in.Imm
-	case isa.OpMov:
-		t.Regs[in.Rd] = t.Regs[in.Rs]
-	case isa.OpLea:
-		t.Regs[in.Rd] = in.Imm
 	case isa.OpLd:
 		v, ok := m.load(t, t.Regs[in.Rs]+in.Imm, pc)
 		if !ok {
@@ -48,12 +41,6 @@ func (m *Machine) step(t *Thread) (yield bool, err error) {
 		if !m.store(t, t.Regs[in.Rd]+in.Imm, t.Regs[in.Rs], pc) {
 			return true, nil
 		}
-	case isa.OpAdd:
-		t.Regs[in.Rd] += t.Regs[in.Rs]
-	case isa.OpSub:
-		t.Regs[in.Rd] -= t.Regs[in.Rs]
-	case isa.OpMul:
-		t.Regs[in.Rd] *= t.Regs[in.Rs]
 	case isa.OpDiv:
 		if t.Regs[in.Rs] == 0 {
 			m.crash(t, pc, "division by zero")
@@ -66,29 +53,6 @@ func (m *Machine) step(t *Thread) (yield bool, err error) {
 			return true, nil
 		}
 		t.Regs[in.Rd] %= t.Regs[in.Rs]
-	case isa.OpAnd:
-		t.Regs[in.Rd] &= t.Regs[in.Rs]
-	case isa.OpOr:
-		t.Regs[in.Rd] |= t.Regs[in.Rs]
-	case isa.OpXor:
-		t.Regs[in.Rd] ^= t.Regs[in.Rs]
-	case isa.OpShl:
-		t.Regs[in.Rd] <<= uint64(t.Regs[in.Rs]) & 63
-	case isa.OpShr:
-		t.Regs[in.Rd] = int64(uint64(t.Regs[in.Rd]) >> (uint64(t.Regs[in.Rs]) & 63))
-	case isa.OpAddi:
-		t.Regs[in.Rd] += in.Imm
-	case isa.OpSubi:
-		t.Regs[in.Rd] -= in.Imm
-	case isa.OpMuli:
-		t.Regs[in.Rd] *= in.Imm
-	case isa.OpAndi:
-		t.Regs[in.Rd] &= in.Imm
-	case isa.OpCmp:
-		t.Flags = compare(t.Regs[in.Rd], t.Regs[in.Rs])
-	case isa.OpCmpi:
-		t.Flags = compare(t.Regs[in.Rd], in.Imm)
-
 	case isa.OpJmp:
 		m.branch(t, pc, in.Target, isa.BranchUncondRel)
 		next = in.Target
@@ -223,19 +187,24 @@ func (m *Machine) step(t *Thread) (yield bool, err error) {
 			}
 		}
 	case isa.OpDelay:
-		// Busy-wait: the thread stalls at this instruction for Imm steps,
-		// giving other threads real interleaving windows. Each stall step
-		// costs one cycle; the step charged above accounts this one.
+		// Busy-wait: the thread stalls at this instruction for Imm steps
+		// (one for a non-positive Imm), giving other threads real
+		// interleaving windows. Each stall step costs one cycle; the step
+		// charged above accounts this one. t.delay counts the steps still
+		// to stall and is back at 0 whenever the stall ends.
 		if t.delay == 0 {
 			t.delay = in.Imm
 		}
-		t.delay--
-		if t.delay > 0 {
+		if t.delay > 1 {
+			t.delay--
 			return false, nil // stay on the delay instruction
 		}
+		t.delay = 0
 
 	default:
-		return true, fmt.Errorf("vm: unimplemented opcode %v at PC %d", in.Op, pc)
+		if !execReg(t, in) {
+			return true, fmt.Errorf("vm: unimplemented opcode %v at PC %d", in.Op, pc)
+		}
 	}
 
 	t.PC = next

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"stmdiag/internal/isa"
@@ -231,5 +232,30 @@ main:
 	s := res.CacheStats[0]
 	if s.Loads < 2 || s.Stores < 1 {
 		t.Errorf("stats = %+v", s)
+	}
+}
+
+// A delay of Imm stalls Imm steps at one cycle each, and a non-positive
+// immediate retires like `delay 1`; neither leaves stall state behind to
+// shorten the thread's next delay.
+func TestDelaySteps(t *testing.T) {
+	cases := []struct {
+		body  string
+		steps uint64
+	}{
+		{"delay 5", 5 + 1},
+		{"delay 1", 1 + 1},
+		{"delay 0\n delay 5", 1 + 5 + 1},
+		{"delay -3\n delay 5", 1 + 5 + 1},
+		{"delay 5\n delay 0\n delay 3", 5 + 1 + 3 + 1},
+	}
+	for _, tc := range cases {
+		for _, q := range []int{2, 120} { // stalls cut by preemption, and not
+			name := fmt.Sprintf("%s/q%d", strings.ReplaceAll(tc.body, "\n ", ";"), q)
+			res := run(t, ".func main\nmain:\n "+tc.body+"\n exit\n", Options{QuantumMin: q, QuantumMax: q})
+			if res.Steps != tc.steps || res.Cycles != tc.steps*CostInstr {
+				t.Errorf("%s: steps/cycles = %d/%d, want %d/%d", name, res.Steps, res.Cycles, tc.steps, tc.steps*CostInstr)
+			}
+		}
 	}
 }

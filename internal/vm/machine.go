@@ -326,7 +326,7 @@ type Machine struct {
 	rng     *rand.Rand
 
 	res        Result
-	attrs      []isa.FuncAttr // per-PC function attributes
+	pcs        []pcInfo // per-PC run table and ring level (batch.go)
 	exited     bool
 	hookStep   func(m *Machine, t *Thread, in *isa.Instr)
 	hookBranch func(m *Machine, t *Thread, in *isa.Instr)
@@ -391,13 +391,7 @@ func New(prog *isa.Program, opts Options) (*Machine, error) {
 			}
 		}
 	}
-	// Per-PC function attributes for O(1) ring-level checks.
-	m.attrs = make([]isa.FuncAttr, len(prog.Instrs))
-	for _, f := range prog.Funcs {
-		for pc := f.Entry; pc < f.End && pc < len(m.attrs); pc++ {
-			m.attrs[pc] = f.Attr
-		}
-	}
+	m.pcs = buildPCTable(prog)
 	if opts.Obs != nil {
 		m.attachObs(opts.Obs)
 	}
@@ -458,12 +452,14 @@ func (m *Machine) AddCycles(n uint64) { m.res.Cycles += n }
 
 // KernelPC reports whether the PC executes at ring 0.
 func (m *Machine) KernelPC(pc int) bool {
-	return pc >= 0 && pc < len(m.attrs) && m.attrs[pc].Has(isa.AttrKernel)
+	return pc >= 0 && pc < len(m.pcs) && m.pcs[pc].kernel
 }
 
 // SetStepHook installs a per-retired-instruction callback, for
 // instrumentation that samples the execution by instruction count (the
-// THeME-style periodic LBR drain).
+// THeME-style periodic LBR drain). While a step hook is installed every
+// instruction dispatches individually, so the hook sees each one; without
+// it, straight-line register-only runs retire in one batch.
 func (m *Machine) SetStepHook(h func(m *Machine, t *Thread, in *isa.Instr)) {
 	m.hookStep = h
 }
@@ -569,12 +565,21 @@ func (m *Machine) Run() (*Result, error) {
 		// Every retired step counts one toward the limit, so the quantum
 		// is cut to the steps left. step yields whenever the thread stops
 		// running or the machine exits, which ends the quantum early.
+		// Register-only runs never yield; capping each batch at the budget
+		// keeps preemption points and the hang PC where single steps put
+		// them.
 		budget := quantum
 		if left := m.opts.StepLimit - m.res.Steps; budget > 0 && uint64(budget) > left {
 			budget = int(left)
 		}
 		q := 0
-		for ; q < budget; q++ {
+		for q < budget {
+			if k := m.runAt(t.PC); k > 0 && m.hookStep == nil {
+				k = min(k, budget-q)
+				m.retireRun(t, k)
+				q += k
+				continue
+			}
 			yield, err := step(m, t)
 			if err != nil {
 				return nil, err
@@ -582,6 +587,7 @@ func (m *Machine) Run() (*Result, error) {
 			if yield {
 				break
 			}
+			q++
 		}
 		if q == budget && budget < quantum {
 			// Hang: profile the spinning thread where it stands, the way

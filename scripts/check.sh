@@ -50,6 +50,12 @@ echo "== fuzz corpus replay"
 # as regular tests; no fuzzing time is spent.
 go test ./internal/stats ./internal/pmu ./internal/faultinj ./internal/synth ./internal/obs -run 'Fuzz'
 
+echo "== fuzz VM dispatch (bounded)"
+# Explores new programs against the VM's batched register-only runs:
+# FuzzRunProgram runs each one batched and per-instruction and demands
+# identical results, so every check searches beyond the committed seeds.
+go test ./internal/vm -run '^$' -fuzz FuzzRunProgram -fuzztime 10s
+
 echo "== -jobs stdout identity"
 EXP="${TMPDIR:-/tmp}/stmdiag-check-experiments"
 go build -o "$EXP" ./cmd/experiments
