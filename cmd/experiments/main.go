@@ -70,6 +70,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if err := cliobs.CheckRuns(map[string]int{"failruns": *failRuns, "succruns": *succRuns,
+		"cbiruns": *cbiRuns, "overhead": *overhead}); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *corpusN < 0 {
 		fmt.Fprintf(os.Stderr, "-corpus-n must be >= 0 (0 = default), got %d\n", *corpusN)
 		os.Exit(2)

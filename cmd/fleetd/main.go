@@ -88,6 +88,9 @@ func main() {
 	if err := cliobs.CheckJobs(*jobs); err != nil {
 		fail2(err)
 	}
+	if err := cliobs.CheckRuns(map[string]int{"failruns": *failRuns, "succruns": *succRuns}); err != nil {
+		fail2(err)
+	}
 	if *fleetStore != "" && *listen == "" {
 		fail2(fmt.Errorf("-fleet-store requires -listen"))
 	}

@@ -55,6 +55,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if err := cliobs.CheckRuns(map[string]int{"failruns": *failRuns, "succruns": *succRuns,
+		"cbiruns": *cbiRuns}); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	faults, err := tf.FaultSpec()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -103,13 +103,18 @@ type line struct {
 	lastUse uint64
 }
 
-// Cache is one core's L1D. Its lines are one flat array indexed
-// set*Ways+way, allocated on the first fill: until then every lookup
-// misses, exactly as an all-Invalid cache would.
+// pageSets is how many sets one page of lines covers.
+const pageSets = 16
+
+// Cache is one core's L1D. Its lines live in pages of pageSets sets,
+// indexed (set%pageSets)*Ways+way within page set/pageSets, each allocated
+// on the first fill of one of its sets: a missing page reads as all
+// Invalid, exactly as an empty cache would. A short run that touches a
+// few blocks allocates a few small pages instead of the whole cache.
 type Cache struct {
 	cfg   Config
 	nsets int
-	lines []line // nil until the first fill
+	pages [][]line // one slot per page of sets; a nil page is all Invalid
 	stats Stats
 }
 
@@ -142,8 +147,12 @@ func NewSystem(ncores int, cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, caches: make([]*Cache, ncores)}
+	// One page table for the domain, in a single allocation; the pages
+	// themselves come with their first fill.
+	npages := (cfg.sets() + pageSets - 1) / pageSets
+	table := make([][]line, ncores*npages)
 	for i := range s.caches {
-		s.caches[i] = &Cache{cfg: cfg, nsets: cfg.sets()}
+		s.caches[i] = &Cache{cfg: cfg, nsets: cfg.sets(), pages: table[i*npages : (i+1)*npages : (i+1)*npages]}
 	}
 	return s, nil
 }
@@ -256,12 +265,16 @@ func (s *System) Peek(core int, wordAddr int64) State {
 	return Invalid
 }
 
-// set returns the ways of one set; nil before the cache's first fill.
+// set returns the ways of one set; nil while its page is unallocated.
+// Small enough that find, which calls it on every access and snoop, stays
+// inlinable.
 func (c *Cache) set(set int) []line {
-	if c.lines == nil {
+	pg := c.pages[uint(set)/pageSets]
+	if pg == nil {
 		return nil
 	}
-	return c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
+	i := uint(set) % pageSets * uint(c.cfg.Ways)
+	return pg[i : i+uint(c.cfg.Ways)]
 }
 
 // find returns the valid line holding tag in the set, or nil.
@@ -278,10 +291,10 @@ func (c *Cache) find(set int, tag int64) *line {
 
 // victim picks the line to replace in the set: an Invalid line if any,
 // otherwise the least recently used. A valid victim counts as an eviction.
-// The first fill allocates the cache's lines.
+// The first fill of a set allocates its page.
 func (c *Cache) victim(set int) *line {
-	if c.lines == nil {
-		c.lines = make([]line, c.nsets*c.cfg.Ways)
+	if pg := &c.pages[uint(set)/pageSets]; *pg == nil {
+		*pg = make([]line, pageSets*c.cfg.Ways)
 	}
 	lines := c.set(set)
 	var v *line
@@ -353,13 +366,15 @@ func (s *System) CheckInvariants() error {
 	}
 	holders := make(map[[2]int64][]holder)
 	for id, c := range s.caches {
-		for i := range c.lines {
-			ln := &c.lines[i]
-			if ln.state == Invalid {
-				continue
+		for p, pg := range c.pages {
+			for i := range pg {
+				ln := &pg[i]
+				if ln.state == Invalid {
+					continue
+				}
+				key := [2]int64{int64(p*pageSets + i/c.cfg.Ways), ln.tag}
+				holders[key] = append(holders[key], holder{id, ln.state})
 			}
-			key := [2]int64{int64(i / c.cfg.Ways), ln.tag}
-			holders[key] = append(holders[key], holder{id, ln.state})
 		}
 	}
 	for key, hs := range holders {

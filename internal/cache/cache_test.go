@@ -277,8 +277,8 @@ func TestUntouchedCoreIsEmpty(t *testing.T) {
 			t.Fatalf("access %d: %v", i, err)
 		}
 	}
-	if idle.lines != nil {
-		t.Error("snoops filled the idle core's lines")
+	if n := allocatedPages(idle); n != 0 {
+		t.Errorf("snoops filled %d pages of the idle core's lines", n)
 	}
 	if st := s.Stats(3); st != (Stats{}) {
 		t.Errorf("idle core stats = %+v, want zero", st)
@@ -306,4 +306,50 @@ func TestUntouchedCoreIsEmpty(t *testing.T) {
 			t.Fatalf("four-core access %d: %v", i, err)
 		}
 	}
+}
+
+// Lines are allocated a page of sets at a time, on the first fill of one
+// of the page's sets: a run that touches two distant blocks holds two
+// pages, and every other set still reads as Invalid.
+func TestLinesPagedOnFirstFill(t *testing.T) {
+	s := sys(t, 2)
+	c := s.caches[0]
+	words := DefaultConfig.wordsPerBlock()
+	far := int64(pageSets) * 3 * words // a block whose set is in page 3
+	s.Access(0, 0, Load)
+	s.Access(0, far, Store)
+	s.Access(0, words, Load) // set 1: page 0 again
+	for p, pg := range c.pages {
+		if pg != nil && p != 0 && p != 3 {
+			t.Errorf("page %d allocated; only pages 0 and 3 were filled", p)
+		}
+	}
+	if n := allocatedPages(c); n != 2 || len(c.pages) != DefaultConfig.sets()/pageSets {
+		t.Errorf("%d of %d pages allocated, want 2 of %d", n, len(c.pages), DefaultConfig.sets()/pageSets)
+	}
+	for addr, want := range map[int64]State{0: Exclusive, far: Modified, words: Exclusive, 2 * far: Invalid} {
+		if st := s.Peek(0, addr); st != want {
+			t.Errorf("Peek(%d) = %v, want %v", addr, st, want)
+		}
+	}
+	if n := allocatedPages(s.caches[1]); n != 0 {
+		t.Errorf("the untouched core allocated %d pages", n)
+	}
+	// Set 1 (page 0) and set 16 (page 1) hold tag 0 in M on two cores:
+	// two distinct blocks, which the checker must tell apart.
+	s.Access(0, words, Store)
+	s.Access(1, pageSets*words, Store)
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func allocatedPages(c *Cache) int {
+	n := 0
+	for _, pg := range c.pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
 }

@@ -116,30 +116,67 @@ func (o *Observer) Restrict(active map[string]bool) { o.active = active }
 func (o *Observer) Attach(m *vm.Machine) {
 	prog := m.Prog()
 	m.SetBranchHook(func(m *vm.Machine, t *vm.Thread, in *isa.Instr) {
-		if !in.Op.IsCond() {
-			return
+		if in.Op.IsCond() {
+			m.AddCycles(o.Visit(prog, in.BranchID, outcome(t, in)))
 		}
-		if o.active != nil && !o.active[prog.BranchName(in.BranchID)] {
-			return
-		}
-		// Every instrumented site pays the fast-path check; a firing
-		// sample pays the slow path.
-		m.AddCycles(vm.CostSampleCheck)
-		if o.rng.Float64() >= o.rate {
-			return
-		}
-		m.AddCycles(vm.CostSampleSlow)
-		o.sampled.Inc()
-		name := prog.BranchName(in.BranchID)
-		outcome := in.Edge
-		if !vm.CondTaken(in.Op, t.Flags) {
-			outcome = in.Edge.Opposite()
-		}
-		for _, e := range []isa.BranchEdge{isa.EdgeFalse, isa.EdgeTrue} {
-			o.obs.Observed[Pred{name, e}] = true
-		}
-		o.obs.True[Pred{name, outcome}] = true
 	})
+}
+
+// Visit is the sampling decision at one executed conditional branch site:
+// every instrumented site pays the fast-path check, and a firing sample
+// pays the slow path and records both predicates of the branch. It returns
+// the cycles the site charges. The live hook and Replay both call it, so a
+// replayed run draws the sampler's RNG exactly as the live run does.
+func (o *Observer) Visit(prog *isa.Program, branchID int, outcome isa.BranchEdge) uint64 {
+	if o.active != nil && !o.active[prog.BranchName(branchID)] {
+		return 0
+	}
+	if o.rng.Float64() >= o.rate {
+		return vm.CostSampleCheck
+	}
+	o.sampled.Inc()
+	name := prog.BranchName(branchID)
+	for _, e := range []isa.BranchEdge{isa.EdgeFalse, isa.EdgeTrue} {
+		o.obs.Observed[Pred{name, e}] = true
+	}
+	o.obs.True[Pred{name, outcome}] = true
+	return vm.CostSampleCheck + vm.CostSampleSlow
+}
+
+// Site is one executed conditional branch site of a recorded run: the
+// branch and the outcome it took, in a compact form.
+type Site struct {
+	Branch  int32
+	Outcome isa.BranchEdge
+}
+
+// Record installs a branch hook that appends every executed conditional
+// branch site to *sites, in execution order — the stream Replay samples.
+// It charges no cycles, so the run is the uninstrumented one.
+func Record(m *vm.Machine, sites *[]Site) {
+	m.SetBranchHook(func(m *vm.Machine, t *vm.Thread, in *isa.Instr) {
+		if in.Op.IsCond() {
+			*sites = append(*sites, Site{int32(in.BranchID), outcome(t, in)})
+		}
+	})
+}
+
+// Replay visits a recorded site stream of prog in order, as the live hook
+// would have during that run, and returns the cycles the sampling charged.
+func (o *Observer) Replay(prog *isa.Program, sites []Site) uint64 {
+	var cycles uint64
+	for _, s := range sites {
+		cycles += o.Visit(prog, int(s.Branch), s.Outcome)
+	}
+	return cycles
+}
+
+// outcome is the edge a conditional jump takes under the thread's flags.
+func outcome(t *vm.Thread, in *isa.Instr) isa.BranchEdge {
+	if vm.CondTaken(in.Op, t.Flags) {
+		return in.Edge
+	}
+	return in.Edge.Opposite()
 }
 
 // Finish returns the observations, labeling the run.

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"stmdiag/internal/artifact"
 	"stmdiag/internal/core"
@@ -130,6 +131,25 @@ func (f *Flags) FaultSpec() (faultinj.Spec, error) {
 func CheckJobs(jobs int) error {
 	if jobs < 0 {
 		return fmt.Errorf("-jobs must be >= 0 (0 = NumCPU), got %d", jobs)
+	}
+	return nil
+}
+
+// CheckRuns validates run-count flags, keyed by flag name (failruns,
+// succruns, cbiruns, overhead): 0 selects the default count and positive
+// values are counts, but a negative count is malformed. Left through, it
+// would crash the capture or silently empty a column. The first offender
+// in name order is reported.
+func CheckRuns(runs map[string]int) error {
+	names := make([]string, 0, len(runs))
+	for name := range runs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if n := runs[name]; n < 0 {
+			return fmt.Errorf("-%s must be >= 0 (0 = default), got %d", name, n)
+		}
 	}
 	return nil
 }

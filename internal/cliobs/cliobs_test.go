@@ -28,6 +28,30 @@ func TestCheckJobs(t *testing.T) {
 	}
 }
 
+func TestCheckRuns(t *testing.T) {
+	ok := map[string]int{"failruns": 0, "succruns": 10, "cbiruns": 1000, "overhead": 1}
+	if err := CheckRuns(ok); err != nil {
+		t.Errorf("CheckRuns(%v) = %v, want nil", ok, err)
+	}
+	for _, c := range []struct {
+		runs map[string]int
+		flag string
+	}{
+		{map[string]int{"failruns": -1, "succruns": 10}, "-failruns"},
+		{map[string]int{"failruns": 10, "succruns": -2}, "-succruns"},
+		{map[string]int{"cbiruns": -3}, "-cbiruns"},
+		{map[string]int{"overhead": -1, "succruns": -5}, "-overhead"},
+	} {
+		err := CheckRuns(c.runs)
+		if err == nil {
+			t.Fatalf("CheckRuns(%v) accepted a negative run count", c.runs)
+		}
+		if !strings.Contains(err.Error(), c.flag+" ") {
+			t.Errorf("CheckRuns(%v) error %q does not name %s", c.runs, err, c.flag)
+		}
+	}
+}
+
 func TestFaultSpec(t *testing.T) {
 	tests := []struct {
 		raw     string

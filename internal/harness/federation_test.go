@@ -96,11 +96,11 @@ func TestWireCompactorMergeNeutral(t *testing.T) {
 		}
 	}
 	full := obs.NewRegistry()
-	full.Merge(*executeWire(mk(0)).Metrics)
-	full.Merge(*executeWire(mk(1)).Metrics)
+	full.Merge(*executeWire(mk(0), nil).Metrics)
+	full.Merge(*executeWire(mk(1), nil).Metrics)
 
 	comp := newWireCompactor()
-	c0, c1 := executeWire(mk(0)), executeWire(mk(1))
+	c0, c1 := executeWire(mk(0), nil), executeWire(mk(1), nil)
 	nfull := len(c1.Metrics.Counters)
 	comp.compact(c0)
 	comp.compact(c1)

@@ -9,7 +9,6 @@ import (
 	"stmdiag/internal/cbi"
 	"stmdiag/internal/core"
 	"stmdiag/internal/isa"
-	"stmdiag/internal/kernel"
 	"stmdiag/internal/pmu"
 	"stmdiag/internal/vm"
 )
@@ -163,7 +162,9 @@ type cbiRunParams struct {
 }
 
 // cbiRunKind executes one CBI-instrumented run on the uninstrumented
-// program and returns its sampled predicate observations.
+// program and returns its sampled predicate observations. A certified
+// recording of the workload stands in for the run: the observer replays
+// the recorded branch-site stream instead.
 func cbiRunKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error) {
 	var P cbiRunParams
 	if err := json.Unmarshal(raw, &P); err != nil {
@@ -173,25 +174,26 @@ func cbiRunKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error
 	if err != nil {
 		return nil, false, err
 	}
-	w := a.Fail
-	if !P.WantFail {
-		w = a.Succeed
-	}
+	k := runKey{app: a, fail: P.WantFail}
 	seed := TrialSeed(P.Seed, stream, tc.Index)
-	opts := w.VMOptions(seed)
-	opts.Obs = tc.Sink
-	opts.Faults = tc.Faults
-	m, err := vm.New(cachedProgram(a), opts)
-	if err != nil {
-		return cbi.RunObs{}, false, err
-	}
 	o := cbi.NewObserver(P.Rate, seed+31337)
-	o.Attach(m)
-	res, err := m.Run()
-	if err != nil {
-		return cbi.RunObs{}, false, err
+	var failed bool
+	if rec := tc.derived(k); rec != nil {
+		chargeDerived(tc.Sink, rec.cycles+o.Replay(cachedProgram(a), rec.sites))
+		failed = rec.failed
+	} else {
+		m, err := k.machine(seed, tc.Sink, tc.Faults)
+		if err != nil {
+			return cbi.RunObs{}, false, err
+		}
+		o.Attach(m)
+		res, err := m.Run()
+		if err != nil {
+			return cbi.RunObs{}, false, err
+		}
+		failed = k.workload().FailedRun(res)
 	}
-	if w.FailedRun(res) != P.WantFail {
+	if failed != P.WantFail {
 		return cbi.RunObs{}, false, nil
 	}
 	return o.Finish(P.WantFail), true, nil
@@ -211,7 +213,8 @@ type meanCyclesParams struct {
 
 // meanCyclesKind runs the success workload once and returns its cycle
 // count. Errors are hard (Map semantics: overhead averages index results
-// positionally).
+// positionally). A certified recording stands in for the run: its cycles,
+// plus the CBI hook's replayed sampling cost when the hook is on.
 func meanCyclesKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error) {
 	var P meanCyclesParams
 	if err := json.Unmarshal(raw, &P); err != nil {
@@ -221,25 +224,26 @@ func meanCyclesKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, e
 	if err != nil {
 		return nil, false, err
 	}
-	seed := TrialSeed(P.Seed, stream, tc.Index)
-	p := cachedProgram(a)
-	var segv []int64
+	k := runKey{app: a, lbrSize: P.LBRSize, driver: true}
 	if P.Build != nil {
-		inst, err := cachedBuild(a, *P.Build)
-		if err != nil {
+		if k.build, err = cachedBuild(a, *P.Build); err != nil {
 			return nil, false, err
 		}
-		p, segv = inst.Prog, inst.SegvIoctls
 	}
-	opts := a.Succeed.VMOptions(seed)
-	opts.LBRSize = P.LBRSize
-	opts.Obs = tc.Sink
-	opts.Faults = tc.Faults
-	if segv != nil {
-		opts.SegvIoctls = segv
+	seed := TrialSeed(P.Seed, stream, tc.Index)
+	// Recordings keep the site stream of the plain program only, so a
+	// hooked instrumented build always runs.
+	if !P.CBIHook || k.build == nil {
+		if rec := tc.derived(k); rec != nil {
+			cycles := rec.cycles
+			if P.CBIHook {
+				cycles += cbi.NewObserver(P.Rate, seed+777).Replay(cachedProgram(a), rec.sites)
+			}
+			chargeDerived(tc.Sink, cycles)
+			return cycles, true, nil
+		}
 	}
-	opts.Driver = kernel.Driver{}
-	m, err := vm.New(p, opts)
+	m, err := k.machine(seed, tc.Sink, tc.Faults)
 	if err != nil {
 		return uint64(0), false, err
 	}

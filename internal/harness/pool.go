@@ -81,6 +81,11 @@ type Trial struct {
 	Attempt int
 	Sink    *obs.Sink
 	Faults  *faultinj.Plan
+
+	// recs is the executor session's recorded runs, which certified
+	// cbi-run and mean-cycles trials derive their results from (record.go);
+	// nil runs every trial on the VM.
+	recs *recordings
 }
 
 // TrialError records a trial that exhausted its retry budget: every attempt

@@ -159,7 +159,8 @@ func wireSink(req *TrialRequest) *obs.Sink {
 // executeWire runs one portable trial to completion: the same attempt loop
 // as runTrial — per-attempt fault plans, panic recovery, deterministic
 // retry budget, flight events, degradation — expressed over wire types.
-func executeWire(req *TrialRequest) *TrialResponse {
+// recs is the calling executor session's recorded runs (nil: none).
+func executeWire(req *TrialRequest, recs *recordings) *TrialResponse {
 	kf, known := trialKinds[req.Kind]
 	if !known {
 		err := fmt.Errorf("harness: unknown trial kind %q (version skew between coordinator and worker?)", req.Kind)
@@ -181,6 +182,7 @@ func executeWire(req *TrialRequest) *TrialResponse {
 			Attempt: attempt,
 			Sink:    s,
 			Faults:  faultinj.NewPlan(req.Faults, req.FaultSeed, req.Stream, req.Index, attempt, s),
+			recs:    recs,
 		}
 		v, ok, err, pan := guardedCall(body, tc)
 		if pan == nil {
@@ -450,12 +452,16 @@ type Executor interface {
 
 // InprocExecutor runs trials in this process — the default. Trial sinks
 // are built purely from the request (private registry, ring and tracer,
-// merged by the pool at commit), identically to a subprocess worker.
-type InprocExecutor struct{}
+// merged by the pool at commit), identically to a subprocess worker. The
+// executor is one session: it keeps the runs its trials recorded
+// (record.go) for as long as it lives. The zero value is ready to use.
+type InprocExecutor struct {
+	recs recordings
+}
 
 // Run executes the trial on the calling goroutine.
 func (e *InprocExecutor) Run(req *TrialRequest) (*TrialResponse, error) {
-	return executeWire(req), nil
+	return executeWire(req, &e.recs), nil
 }
 
 // Close is a no-op.
@@ -552,12 +558,14 @@ func (c *wireCompactor) compactTracks(tracks []obs.TrackName) []obs.TrackName {
 // protocol error terminates the worker — the coordinating executor kills
 // and respawns workers rather than attempting to resynchronize a stream.
 // Responses are compacted per session: merge-neutral repeats (zero-valued
-// families, unchanged track names) ship only once per worker lifetime.
+// families, unchanged track names) ship only once per worker lifetime. The
+// session also keeps the runs its trials recorded (record.go).
 func WorkerMain(r io.Reader, w io.Writer) error {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	comp := newWireCompactor()
+	var recs recordings
 	for {
 		var req TrialRequest
 		if err := dec.Decode(&req); err != nil {
@@ -566,7 +574,7 @@ func WorkerMain(r io.Reader, w io.Writer) error {
 			}
 			return fmt.Errorf("harness: worker decode request: %w", err)
 		}
-		resp := executeWire(&req)
+		resp := executeWire(&req, &recs)
 		comp.compact(resp)
 		if err := enc.Encode(resp); err != nil {
 			return fmt.Errorf("harness: worker encode response: %w", err)

@@ -349,7 +349,7 @@ func TestSubprocTimeoutKillsWorker(t *testing.T) {
 // kind this binary does not register must come back as a trial error, not
 // a panic or a silent zero.
 func TestUnknownKindIsError(t *testing.T) {
-	resp := executeWire(&TrialRequest{Stream: "s", Kind: "no-such-kind"})
+	resp := executeWire(&TrialRequest{Stream: "s", Kind: "no-such-kind"}, nil)
 	if resp.Err == "" || !strings.Contains(resp.Err, "unknown trial kind") {
 		t.Fatalf("response = %+v, want unknown-kind error", resp)
 	}

@@ -88,6 +88,16 @@ if "$SMD" -app sort -jobs -1 >/dev/null 2>&1; then
     echo "-jobs -1 was accepted" >&2
     exit 1
 fi
+for badflags in "-failruns -1" "-succruns -2" "-cbiruns -3"; do
+    set +e
+    "$SMD" -app sort $badflags >/dev/null 2>&1
+    rc=$?
+    set -e
+    if [ "$rc" != 2 ]; then
+        echo "stmdiag $badflags exited $rc, want 2" >&2
+        exit 1
+    fi
+done
 
 echo "== -corpus smoke + jobs identity"
 # Table 9's generated-bug corpus: a reduced per-cell sweep must complete
@@ -183,8 +193,10 @@ if ! cmp -s "${TMPDIR:-/tmp}/stmdiag-check-seq.txt" "${TMPDIR:-/tmp}/stmdiag-che
     exit 1
 fi
 rm -rf "$RESUME_DIR"
-# Malformed execution flags are usage errors (exit 2) before any work runs.
-for badflags in "-executor bogus" "-resume /dev/null" "-worker-bin /bin/true"; do
+# Malformed execution flags and negative run counts are usage errors
+# (exit 2) before any work runs.
+for badflags in "-executor bogus" "-resume /dev/null" "-worker-bin /bin/true" \
+    "-failruns -1" "-succruns -2" "-cbiruns -3" "-overhead -1"; do
     set +e
     "$EXP" -table 3 $badflags >/dev/null 2>&1
     rc=$?
@@ -263,7 +275,8 @@ kill "$FLEETD_PID" 2>/dev/null || true
 trap - EXIT
 # Malformed -fleet-* values must be rejected with exit 2 (usage error)
 # before any capture or network work starts.
-for badflags in "-fleet-shards 0" "-fleet-clients 0" "-fleet-batch -1" "-fleet-retries -1" "-fleet-store ${TMPDIR:-/tmp}/stmdiag-check-walless"; do
+for badflags in "-fleet-shards 0" "-fleet-clients 0" "-fleet-batch -1" "-fleet-retries -1" "-fleet-store ${TMPDIR:-/tmp}/stmdiag-check-walless" \
+    "-failruns -1" "-succruns -2"; do
     set +e
     "$FLEETD" -report "$FLEET_URL" $badflags >/dev/null 2>&1
     rc=$?
