@@ -22,12 +22,9 @@ import (
 	"strconv"
 	"strings"
 
-	"stmdiag/internal/apps"
 	"stmdiag/internal/cliobs"
 	"stmdiag/internal/harness"
-	"stmdiag/internal/isa"
 	"stmdiag/internal/synth"
-	"stmdiag/internal/vm"
 )
 
 func main() {
@@ -65,24 +62,18 @@ func main() {
 		os.Exit(1)
 	}
 
-	var prog *isa.Program
-	opts := vm.Options{Seed: *seed}
+	target := harness.CoverageTarget{App: *app, Seed: *seed}
 	switch {
 	case *useSynth:
-		prog = synth.MustGenerate("synth", synth.Config{
-			Seed: *seed, Funcs: *funcs, StmtsPerFunc: *stmts,
-		})
-	case *app != "":
-		a := apps.ByName(*app)
-		if a == nil {
-			fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *app)
-			os.Exit(1)
-		}
-		prog = a.Program()
-		opts = a.Succeed.VMOptions(*seed)
-	default:
+		target.Synth = &synth.Config{Seed: *seed, Funcs: *funcs, StmtsPerFunc: *stmts}
+	case *app == "":
 		flag.Usage()
 		os.Exit(2)
+	}
+	prog, _, err := target.Program()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	periods := []int{*period}
@@ -98,9 +89,8 @@ func main() {
 		}
 	}
 
-	opts.Obs = sink
 	pool := harness.NewPool(*jobs, sink).WithFaults(faults, *seed).WithRunID(harness.RunID(*seed, "cli"))
-	results, err := harness.CoverageSweep(prog, opts, periods, pool)
+	results, err := harness.CoverageSweep(target, periods, pool)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -22,10 +22,7 @@ import (
 	"stmdiag/internal/cliobs"
 	"stmdiag/internal/core"
 	"stmdiag/internal/harness"
-	"stmdiag/internal/kernel"
-	"stmdiag/internal/pmu"
 	"stmdiag/internal/trace"
-	"stmdiag/internal/vm"
 )
 
 func main() {
@@ -68,40 +65,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *app)
 		os.Exit(1)
 	}
-	inst, err := core.EnhanceLogging(a.Program(), core.Options{LBR: true, LCR: true, Toggling: true})
+	inst, err := core.EnhanceLogging(a.Program(), harness.ReportBuild())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	// The search scans seeds *seed, *seed+1, ... and keeps the first failing
 	// run in seed order, whatever the worker count.
-	type bundle struct {
-		seed int64
-		data []byte
-	}
 	pool := harness.NewPool(*jobs, sink).WithFaults(faults, *seed).WithRunID(harness.RunID(*seed, "cli"))
-	b, idx, err := harness.First(pool, 400, a.Name+"/report",
-		func(tc *harness.Trial) (bundle, bool, error) {
-			sd := *seed + int64(tc.Index)
-			opts := a.Fail.VMOptions(sd)
-			opts.Driver = kernel.Driver{}
-			opts.SegvIoctls = inst.SegvIoctls
-			opts.LCRConfig = pmu.ConfSpaceConsuming
-			opts.Obs = tc.Sink
-			opts.Faults = tc.Faults
-			res, err := vm.Run(inst.Prog, opts)
-			if err != nil {
-				return bundle{}, false, err
-			}
-			if !a.Fail.FailedRun(res) {
-				return bundle{}, false, nil
-			}
-			data, err := trace.Encode(inst.Prog, res)
-			if err != nil {
-				return bundle{}, false, err
-			}
-			return bundle{seed: sd, data: data}, true, nil
-		})
+	b, idx, err := harness.FirstKind[harness.ReportBundle](pool, 400, a.Name+"/report",
+		harness.ReportKind, harness.ReportParams{App: a.Name, Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -111,12 +84,12 @@ func main() {
 		finish()
 		os.Exit(1)
 	}
-	if v := trace.Audit(inst.Prog, b.data); len(v) > 0 {
+	if v := trace.Audit(inst.Prog, b.Data); len(v) > 0 {
 		fmt.Fprintf(os.Stderr, "privacy audit failed: %v\n", v)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "failure at seed %d; bundle audited clean (%d bytes)\n", b.seed, len(b.data))
-	os.Stdout.Write(b.data)
+	fmt.Fprintf(os.Stderr, "failure at seed %d; bundle audited clean (%d bytes)\n", b.Seed, len(b.Data))
+	os.Stdout.Write(b.Data)
 	fmt.Println()
 	finish()
 }

@@ -191,7 +191,7 @@ const (
 )
 
 // ExecFlags holds the parsed durable-execution flags: which executor runs
-// portable trials, where the durable artifact store lives, and which
+// the trials, where the durable artifact store lives, and which
 // binary serves as the subprocess worker.
 type ExecFlags struct {
 	// Executor is the -executor choice: inproc (default) or subprocess.

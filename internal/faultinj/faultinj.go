@@ -145,6 +145,19 @@ func (s Spec) Enabled() bool {
 	return false
 }
 
+// ArmsCapture reports whether any capture layer — the injectors a VM run
+// consults, lbr-* through succ-loss — has a positive rate. The panic layer
+// fires in the harness before a trial body runs, and the artifact and
+// journal layers in the durable store, so neither shapes a run.
+func (s Spec) ArmsCapture() bool {
+	for l := LBRDrop; l <= SuccLoss; l++ {
+		if s.Rates[l] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // RetryBudget returns the effective retry budget.
 func (s Spec) RetryBudget() int {
 	if s.Retries > 0 {

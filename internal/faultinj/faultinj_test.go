@@ -140,6 +140,28 @@ func TestSpecRetryBudget(t *testing.T) {
 	}
 }
 
+// TestSpecArmsCapture: only the layers a VM run consults count as capture
+// layers; the panic and store layers alone leave runs untouched.
+func TestSpecArmsCapture(t *testing.T) {
+	for in, want := range map[string]bool{
+		"off":                   false,
+		"panic=0.3":             false,
+		"artifact-corrupt=0.01": false,
+		"artifact-torn-write=0.5,journal-trunc=0.5,panic=1": false,
+		"lbr-drop=0.01":        true,
+		"succ-loss=0.2":        true,
+		"rate=0.01,lbr-drop=0": true,
+	} {
+		s, err := ParseSpec(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.ArmsCapture(); got != want {
+			t.Errorf("ParseSpec(%q).ArmsCapture() = %v, want %v", in, got, want)
+		}
+	}
+}
+
 func TestNewPlanDisabled(t *testing.T) {
 	if p := NewPlan(Spec{}, 0, "s", 0, 0, nil); p != nil {
 		t.Error("disabled spec must yield a nil plan")

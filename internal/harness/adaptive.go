@@ -8,7 +8,6 @@ import (
 	"stmdiag/internal/cbi"
 	"stmdiag/internal/cfg"
 	"stmdiag/internal/isa"
-	"stmdiag/internal/vm"
 )
 
 // AdaptiveResult summarizes one CBI-adaptive diagnosis (the iterative
@@ -107,39 +106,21 @@ func RunAdaptive(a *apps.App, rate float64, runsPerIter, maxIters int, conf Conf
 		failPC = sites[len(sites)-1]
 	}
 	layers := branchLayers(p, failPC)
-	active := map[string]bool{}
+	// The instrumented branches; never nil, since an empty set (the first
+	// layer is often empty) must restrict sampling to nothing.
+	active := []string{}
 	res := &AdaptiveResult{App: a}
 	var runs []cbi.RunObs
 	nextLayer := 0
 
-	// collect fans one iteration's runs of one class out through the pool.
-	// active is only mutated between iterations, so trials may read it
-	// concurrently. A shortfall is tolerated: the ranking just sees fewer
-	// observations, as in the paper's budgeted setting.
-	collect := func(w apps.Workload, wantFail bool, label string) ([]cbi.RunObs, error) {
-		stream := a.Name + "/" + label
-		out, _, err := Collect(pool, runsPerIter*6, runsPerIter, stream,
-			func(tc *Trial) (cbi.RunObs, bool, error) {
-				seed := TrialSeed(conf.Seed, stream, tc.Index)
-				opts := w.VMOptions(seed)
-				opts.Obs = tc.Sink
-				opts.Faults = tc.Faults
-				m, err := vm.New(p, opts)
-				if err != nil {
-					return cbi.RunObs{}, false, err
-				}
-				o := cbi.NewObserver(rate, seed+4242)
-				o.Restrict(active)
-				o.Attach(m)
-				r, err := m.Run()
-				if err != nil {
-					return cbi.RunObs{}, false, err
-				}
-				if w.FailedRun(r) != wantFail {
-					return cbi.RunObs{}, false, nil
-				}
-				return o.Finish(wantFail), true, nil
-			})
+	// collect fans one iteration's runs of one class out through the pool
+	// as cbi-run trials restricted to the active branches — the run
+	// Table 6's CBI column samples, so a session's recording serves both.
+	// A shortfall is tolerated: the ranking just sees fewer observations,
+	// as in the paper's budgeted setting.
+	collect := func(wantFail bool, label string) ([]cbi.RunObs, error) {
+		out, _, err := CollectKind[cbi.RunObs](pool, runsPerIter*6, runsPerIter, a.Name+"/"+label, "cbi-run",
+			cbiRunParams{App: a.Name, WantFail: wantFail, Rate: rate, Seed: conf.Seed, Active: &active})
 		return out, err
 	}
 
@@ -148,16 +129,14 @@ func RunAdaptive(a *apps.App, rate float64, runsPerIter, maxIters int, conf Conf
 		// Expand by one layer per iteration (all layers consumed -> keep
 		// sampling with the full set).
 		if nextLayer < len(layers) {
-			for _, name := range layers[nextLayer] {
-				active[name] = true
-			}
+			active = append(active, layers[nextLayer]...)
 			nextLayer++
 		}
-		failObs, err := collect(a.Fail, true, fmt.Sprintf("adaptive-fail-iter%d", res.Iterations))
+		failObs, err := collect(true, fmt.Sprintf("adaptive-fail-iter%d", res.Iterations))
 		if err != nil {
 			return nil, err
 		}
-		succObs, err := collect(a.Succeed, false, fmt.Sprintf("adaptive-succ-iter%d", res.Iterations))
+		succObs, err := collect(false, fmt.Sprintf("adaptive-succ-iter%d", res.Iterations))
 		if err != nil {
 			return nil, err
 		}

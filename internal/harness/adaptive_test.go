@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"stmdiag/internal/apps"
@@ -64,5 +65,31 @@ func TestAdaptiveCannotFixContextOnePredicates(t *testing.T) {
 	}
 	if res.Iterations != 12 {
 		t.Errorf("iterations = %d, want the full budget", res.Iterations)
+	}
+}
+
+// TestAdaptiveResultsPinned pins every field of the adaptive searches
+// above, so a change in how their runs execute (which trials derive from a
+// recording, how the active branch set reaches each trial) cannot silently
+// move a result.
+func TestAdaptiveResultsPinned(t *testing.T) {
+	for _, c := range []struct {
+		app         string
+		runs, iters int
+		want        string
+	}{
+		{"sort", 10, 40, "found=true iters=4 runs=80 frac=0.5556"},
+		{"ln", 10, 40, "found=true iters=14 runs=280 frac=0.5952"},
+		{"Apache2", 6, 12, "found=false iters=12 runs=144 frac=0.6364"},
+	} {
+		res, err := RunAdaptive(apps.ByName(c.app), 1.0, c.runs, c.iters, Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("found=%v iters=%d runs=%d frac=%.4f",
+			res.Found, res.Iterations, res.RunsUsed, res.EvaluatedFraction)
+		if got != c.want {
+			t.Errorf("%s: %s, want %s", c.app, got, c.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -26,8 +27,8 @@ const DefaultCorpusPerCell = 13
 // corpusOutcome is one generated program's bake-off result: the manifest
 // root cause's rank under each ranker (core.Rankers() order; 0 = missed).
 type corpusOutcome struct {
-	diagnosed bool
-	ranks     []int
+	Diagnosed bool  `json:"diagnosed"`
+	Ranks     []int `json:"ranks"`
 }
 
 // corpusProgram runs the full diagnosis loop over one generated buggy
@@ -40,7 +41,7 @@ type corpusOutcome struct {
 // deterministic miss.
 func corpusProgram(class synth.BugClass, dist, idx int, cfg Config, tc *Trial) (corpusOutcome, error) {
 	stream := fmt.Sprintf("corpus/%s/d%d/p%d", class, dist, idx)
-	miss := corpusOutcome{ranks: make([]int, len(core.Rankers()))}
+	miss := corpusOutcome{Ranks: make([]int, len(core.Rankers()))}
 
 	bp, err := synth.GenerateBug(fmt.Sprintf("%s-d%d-p%d", class, dist, idx), synth.BugConfig{
 		Seed:     TrialSeed(cfg.Seed, stream+"/gen", 0),
@@ -137,7 +138,7 @@ func corpusProgram(class synth.BugClass, dist, idx int, cfg Config, tc *Trial) (
 		return miss, nil
 	}
 
-	out := corpusOutcome{diagnosed: true, ranks: make([]int, len(core.Rankers()))}
+	out := corpusOutcome{Diagnosed: true, Ranks: make([]int, len(core.Rankers()))}
 	man := bp.Manifest
 	for i, ranker := range core.Rankers() {
 		rep, err := core.DiagnoseWith(mode, ranker, fail, succ)
@@ -145,16 +146,49 @@ func corpusProgram(class synth.BugClass, dist, idx int, cfg Config, tc *Trial) (
 			return miss, err
 		}
 		if bp.Concurrent {
-			out.ranks[i] = rep.RankOfCoherence(func(e core.Event) bool {
+			out.Ranks[i] = rep.RankOfCoherence(func(e core.Event) bool {
 				return e.Kind == core.EventCoherence &&
 					e.Access == man.FPEKind && e.State == man.FPEState &&
 					e.File == man.RootLoc.File && e.Line == man.RootLoc.Line
 			})
 		} else {
-			out.ranks[i] = rep.RankOfBranchEdge(man.RootBranch, man.BuggyEdge)
+			out.Ranks[i] = rep.RankOfBranchEdge(man.RootBranch, man.BuggyEdge)
 		}
 	}
 	return out, nil
+}
+
+// corpusParams parameterizes the Table 9 stream: trial i is program
+// i%PerCell of cell i/PerCell, cells in (class × distance) row order; the
+// rest are the Config fields corpusProgram reads.
+type corpusParams struct {
+	PerCell     int   `json:"perCell"`
+	Seed        int64 `json:"seed"`
+	FailRuns    int   `json:"failRuns"`
+	SuccRuns    int   `json:"succRuns"`
+	MaxAttempts int   `json:"maxAttempts"`
+	LBRSize     int   `json:"lbrSize,omitempty"`
+	LCRSize     int   `json:"lcrSize,omitempty"`
+}
+
+// corpusProgramKind runs one generated program of the corpus through
+// corpusProgram. Every trial is accepted unless it errors (MapKind).
+func corpusProgramKind(raw json.RawMessage, _ string, tc *Trial) (any, bool, error) {
+	var P corpusParams
+	if err := json.Unmarshal(raw, &P); err != nil {
+		return nil, false, err
+	}
+	cell := tc.Index / P.PerCell
+	cfg := Config{
+		Seed: P.Seed, FailRuns: P.FailRuns, SuccRuns: P.SuccRuns,
+		MaxAttempts: P.MaxAttempts, LBRSize: P.LBRSize, LCRSize: P.LCRSize,
+	}
+	out, err := corpusProgram(synth.BugClasses()[cell/len(corpusDistances)],
+		corpusDistances[cell%len(corpusDistances)], tc.Index%P.PerCell, cfg, tc)
+	if err != nil {
+		return nil, false, err
+	}
+	return out, true, nil
 }
 
 // corpusCell aggregates one (class × distance) cell.
@@ -189,21 +223,20 @@ func Table9(cfg Config) (string, error) {
 		}
 	}
 
-	pool := cfg.pool()
 	total := len(cells) * perCell
-	outcomes, err := Map(pool, total, "corpus/table9", func(tc *Trial) (corpusOutcome, error) {
-		cell := &cells[tc.Index/perCell]
-		return corpusProgram(cell.class, cell.dist, tc.Index%perCell, cfg, tc)
+	outcomes, err := MapKind[corpusOutcome](cfg.pool(), total, "corpus/table9", "corpus-program", corpusParams{
+		PerCell: perCell, Seed: cfg.Seed, FailRuns: cfg.FailRuns, SuccRuns: cfg.SuccRuns,
+		MaxAttempts: cfg.MaxAttempts, LBRSize: cfg.LBRSize, LCRSize: cfg.LCRSize,
 	})
 	if err != nil {
 		return "", err
 	}
 	for i, o := range outcomes {
 		cell := &cells[i/perCell]
-		if o.diagnosed {
+		if o.Diagnosed {
 			cell.diagnosed++
 		}
-		for r, rank := range o.ranks {
+		for r, rank := range o.Ranks {
 			if rank == 1 {
 				cell.top1[r]++
 			}

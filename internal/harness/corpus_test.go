@@ -30,10 +30,10 @@ func TestCorpusProgramShortDistance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", class, err)
 		}
-		if !out.diagnosed {
+		if !out.Diagnosed {
 			t.Fatalf("%s: profile collection starved at distance 2", class)
 		}
-		for r, rank := range out.ranks {
+		for r, rank := range out.Ranks {
 			if rank < 1 || rank > 5 {
 				t.Errorf("%s: ranker %d ranked the root cause %d, want top-5", class, r, rank)
 			}
@@ -51,10 +51,10 @@ func TestCorpusProgramLongDistanceEvicts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", class, err)
 		}
-		if !out.diagnosed {
+		if !out.Diagnosed {
 			t.Fatalf("%s: profile collection starved at distance 20", class)
 		}
-		for r, rank := range out.ranks {
+		for r, rank := range out.Ranks {
 			if rank != 0 {
 				t.Errorf("%s: ranker %d ranked the evicted root cause %d, want 0", class, r, rank)
 			}

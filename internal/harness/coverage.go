@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"encoding/json"
+
 	"stmdiag/internal/isa"
 	"stmdiag/internal/pmu"
+	"stmdiag/internal/synth"
 	"stmdiag/internal/vm"
 )
 
@@ -125,15 +128,61 @@ func RunCoverage(p *isa.Program, opts vm.Options, periodSteps int) (*CoverageRes
 	return res, nil
 }
 
-// CoverageSweep measures coverage at each sampling period, fanning the
-// independent measurements out through the trial pool. Results come back in
-// period order regardless of the worker count.
-func CoverageSweep(p *isa.Program, opts vm.Options, periods []int, pool *Pool) ([]*CoverageResult, error) {
-	return Map(pool, len(periods), p.Name+"/coverage",
-		func(tc *Trial) (*CoverageResult, error) {
-			o := opts
-			o.Obs = tc.Sink
-			o.Faults = tc.Faults
-			return RunCoverage(p, o, periods[tc.Index])
-		})
+// CoverageTarget names the program a coverage sweep measures: one
+// benchmark's success workload, or (Synth non-nil) a generated synthetic
+// program. Seed is the run's scheduler seed.
+type CoverageTarget struct {
+	App   string        `json:"app,omitempty"`
+	Synth *synth.Config `json:"synth,omitempty"`
+	Seed  int64         `json:"seed"`
+}
+
+// Program builds the target's program and the VM options it runs with.
+func (t CoverageTarget) Program() (*isa.Program, vm.Options, error) {
+	if t.Synth != nil {
+		p, err := synth.Generate("synth", *t.Synth)
+		return p, vm.Options{Seed: t.Seed}, err
+	}
+	a, err := kindApp(t.App)
+	if err != nil {
+		return nil, vm.Options{}, err
+	}
+	return a.Program(), a.Succeed.VMOptions(t.Seed), nil
+}
+
+// coverageParams parameterizes a coverage sweep: trial i measures the
+// target at Periods[i].
+type coverageParams struct {
+	CoverageTarget
+	Periods []int `json:"periods"`
+}
+
+// coverageRunKind measures one sampling period of a sweep.
+func coverageRunKind(raw json.RawMessage, _ string, tc *Trial) (any, bool, error) {
+	var P coverageParams
+	if err := json.Unmarshal(raw, &P); err != nil {
+		return nil, false, err
+	}
+	p, opts, err := P.Program()
+	if err != nil {
+		return nil, false, err
+	}
+	opts.Obs, opts.Faults = tc.Sink, tc.Faults
+	res, err := RunCoverage(p, opts, P.Periods[tc.Index])
+	if err != nil {
+		return nil, false, err
+	}
+	return res, true, nil
+}
+
+// CoverageSweep measures the target's coverage at each sampling period,
+// fanning the independent measurements out through the trial pool. Results
+// come back in period order regardless of the worker count.
+func CoverageSweep(t CoverageTarget, periods []int, pool *Pool) ([]*CoverageResult, error) {
+	p, _, err := t.Program()
+	if err != nil {
+		return nil, err
+	}
+	return MapKind[*CoverageResult](pool, len(periods), p.Name+"/coverage", "coverage-run",
+		coverageParams{CoverageTarget: t, Periods: periods})
 }

@@ -27,9 +27,7 @@ func TestFlightJobsInvariance(t *testing.T) {
 			Flight:  obs.NewFlightRecorder(obs.DefaultFlightCap),
 		}
 		p := NewPool(jobs, sink).WithFaults(spec, 7)
-		if _, _, err := Collect(p, 40, 40, "flighttest", func(tc *Trial) (int, bool, error) {
-			return tc.Index, true, nil
-		}); err != nil {
+		if _, _, err := CollectKind[int](p, 40, 40, "flighttest", "script", acceptAll); err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		ring := sink.Flight.Snapshot()
@@ -75,12 +73,7 @@ func TestFlightTrialErrorTail(t *testing.T) {
 			Flight:  obs.NewFlightRecorder(obs.DefaultFlightCap),
 		}
 		p := NewPool(jobs, sink)
-		_, err := Map(p, 6, "tailtest", func(tc *Trial) (int, error) {
-			if tc.Index == 3 {
-				panic("boom")
-			}
-			return tc.Index, nil
-		})
+		_, err := MapKind[int](p, 6, "tailtest", "script", scriptParams{Every: 1, PanicAt: at(3)})
 		var te *TrialError
 		if !errors.As(err, &te) {
 			t.Fatalf("jobs=%d: Map error = %v, want *TrialError", jobs, err)
@@ -111,7 +104,7 @@ func TestFlightTrialErrorTail(t *testing.T) {
 	}
 	if p := NewPool(2, nil); p != nil {
 		// Recorder-less pools must keep Events empty rather than panic.
-		_, err := Map(p, 2, "norec", func(tc *Trial) (int, error) { panic("x") })
+		_, err := MapKind[int](p, 2, "norec", "script", scriptParams{Every: 1, PanicAt: at(0)})
 		var te *TrialError
 		if !errors.As(err, &te) || len(te.Events) != 0 {
 			t.Errorf("nil-sink pool: err=%v events=%v, want empty tail", err, te.Events)

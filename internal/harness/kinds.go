@@ -8,17 +8,17 @@ import (
 	"stmdiag/internal/apps"
 	"stmdiag/internal/cbi"
 	"stmdiag/internal/core"
-	"stmdiag/internal/isa"
 	"stmdiag/internal/pmu"
 	"stmdiag/internal/vm"
 )
 
-// This file registers the portable trial kinds: the closure bodies of
-// seq.go, conc.go and tables.go re-expressed as (name, JSON params) pairs
-// so they can execute in any process and resume from the artifact store.
-// Each kind must reproduce its closure's behavior exactly — same VM
-// options, same seed derivation, same accept/reject/error decisions — or
-// the cross-executor golden-table identity breaks.
+// This file registers the trial kinds: every trial body in the harness,
+// as a (name, JSON params) pair, so any trial can execute in any process
+// and resume from the artifact store. A kind's result must depend only on
+// its params, stream label and trial index — never on the process or
+// worker that runs it — or the cross-executor golden-table identity
+// breaks. The profile, CBI and overhead kinds live here; the Table 9,
+// coverage and report kinds sit beside their callers.
 
 func init() {
 	registerKind("fail-profile", failProfileKind)
@@ -26,6 +26,9 @@ func init() {
 	registerKind("cbi-run", cbiRunKind)
 	registerKind("mean-cycles", meanCyclesKind)
 	registerKind("conc-profile", concProfileKind)
+	registerKind("corpus-program", corpusProgramKind)
+	registerKind("coverage-run", coverageRunKind)
+	registerKind(ReportKind, reportBundleKind)
 }
 
 // kindApp resolves a benchmark by name. The Table 3 micro-benchmark lives
@@ -38,18 +41,6 @@ func kindApp(name string) (*apps.App, error) {
 		return apps.RWWMicro, nil
 	}
 	return nil, fmt.Errorf("harness: unknown app %q", name)
-}
-
-// progCache memoizes uninstrumented program builds per app; programs are
-// immutable once built and already shared across concurrent trials.
-var progCache sync.Map // app name -> *isa.Program
-
-func cachedProgram(a *apps.App) *isa.Program {
-	if v, ok := progCache.Load(a.Name); ok {
-		return v.(*isa.Program)
-	}
-	v, _ := progCache.LoadOrStore(a.Name, a.Program())
-	return v.(*isa.Program)
 }
 
 // buildCache memoizes instrumented builds keyed by (app, options). Builds
@@ -66,7 +57,7 @@ func cachedBuild(a *apps.App, opts core.Options) (*core.Instrumented, error) {
 	if v, ok := buildCache.Load(key); ok {
 		return v.(*core.Instrumented), nil
 	}
-	inst, err := core.EnhanceLogging(cachedProgram(a), opts)
+	inst, err := core.EnhanceLogging(a.Program(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -159,12 +150,18 @@ type cbiRunParams struct {
 	WantFail bool    `json:"wantFail"`
 	Rate     float64 `json:"rate"`
 	Seed     int64   `json:"seed"`
+	// Active, when non-nil, restricts sampling to the named branches (the
+	// CBI-adaptive search); nil instruments every branch. A pointer, so an
+	// empty set still restricts, and an unrestricted run's params — and
+	// with them its artifact key — carry no extra field.
+	Active *[]string `json:"active,omitempty"`
 }
 
 // cbiRunKind executes one CBI-instrumented run on the uninstrumented
 // program and returns its sampled predicate observations. A certified
 // recording of the workload stands in for the run: the observer replays
-// the recorded branch-site stream instead.
+// the recorded branch-site stream instead (Visit applies the restriction
+// either way).
 func cbiRunKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error) {
 	var P cbiRunParams
 	if err := json.Unmarshal(raw, &P); err != nil {
@@ -177,9 +174,16 @@ func cbiRunKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error
 	k := runKey{app: a, fail: P.WantFail}
 	seed := TrialSeed(P.Seed, stream, tc.Index)
 	o := cbi.NewObserver(P.Rate, seed+31337)
+	if P.Active != nil {
+		active := make(map[string]bool, len(*P.Active))
+		for _, name := range *P.Active {
+			active[name] = true
+		}
+		o.Restrict(active)
+	}
 	var failed bool
 	if rec := tc.derived(k); rec != nil {
-		chargeDerived(tc.Sink, rec.cycles+o.Replay(cachedProgram(a), rec.sites))
+		chargeDerived(tc.Sink, rec.cycles+o.Replay(a.Program(), rec.sites))
 		failed = rec.failed
 	} else {
 		m, err := k.machine(seed, tc.Sink, tc.Faults)
@@ -237,7 +241,7 @@ func meanCyclesKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, e
 		if rec := tc.derived(k); rec != nil {
 			cycles := rec.cycles
 			if P.CBIHook {
-				cycles += cbi.NewObserver(P.Rate, seed+777).Replay(cachedProgram(a), rec.sites)
+				cycles += cbi.NewObserver(P.Rate, seed+777).Replay(a.Program(), rec.sites)
 			}
 			chargeDerived(tc.Sink, cycles)
 			return cycles, true, nil

@@ -27,7 +27,7 @@ import (
 //     label, trial index), so trial i's seed never depends on how many
 //     earlier trials were retried or on which worker runs it.
 //
-//  2. Selection is by trial index. Collect accepts the first `need`
+//  2. Selection is by trial index. CollectKind accepts the first `need`
 //     accepted trials in index order; workers past the decisive index only
 //     ever do speculative work that is discarded.
 //
@@ -140,20 +140,19 @@ type Pool struct {
 	// running the same configuration agree on it.
 	runID uint64
 
-	// exec runs portable trials (CollectKind/MapKind/FirstKind). Always
-	// non-nil: NewPool installs the in-process executor; WithExecutor swaps
-	// in an alternative (the subprocess fleet). Closure-based trials
-	// (Collect/Map/First) never touch it.
+	// exec runs every trial. Always non-nil: NewPool installs the
+	// in-process executor; WithExecutor swaps in an alternative (the
+	// subprocess fleet).
 	exec Executor
-	// store, when non-nil, is the durable artifact store: portable trials
-	// check it before executing and persist into it at commit time.
+	// store, when non-nil, is the durable artifact store: trials check it
+	// before executing and persist into it at commit time.
 	store *artifact.Store
 
 	workerTrials []*obs.Counter // per-worker executed-trial counters
 	trials       *obs.Counter   // trials executed (incl. speculation)
 	committed    *obs.Counter   // trials whose telemetry was committed
 	discarded    *obs.Counter   // speculative trials thrown away
-	spans        *obs.Counter   // Collect/Map fan-outs traced
+	spans        *obs.Counter   // fan-outs traced
 
 	// Worker-utilization instruments (internal/prof), armed only when the
 	// sink profiles. These measure real wall clock and real scheduling, so
@@ -240,7 +239,7 @@ func RunID(seed int64, label string) uint64 {
 	return uint64(TrialSeed(seed, "runid/"+label, 0))
 }
 
-// WithExecutor routes portable trials (CollectKind and friends) through e.
+// WithExecutor routes every trial through e.
 // The default is the in-process executor; the subprocess executor isolates
 // trial crashes in worker processes. Returns p for chaining.
 func (p *Pool) WithExecutor(e Executor) *Pool {
@@ -250,7 +249,7 @@ func (p *Pool) WithExecutor(e Executor) *Pool {
 	return p
 }
 
-// WithArtifacts attaches a durable artifact store: portable trials resume
+// WithArtifacts attaches a durable artifact store: trials resume
 // from verified stored results and persist fresh results as they commit,
 // in trial order. Returns p for chaining.
 func (p *Pool) WithArtifacts(s *artifact.Store) *Pool {
@@ -258,11 +257,8 @@ func (p *Pool) WithArtifacts(s *artifact.Store) *Pool {
 	return p
 }
 
-// executor returns the pool's trial executor (never nil).
-func (p *Pool) executor() Executor { return p.exec }
-
-// wireRequest assembles the portable form of one trial, arming the worker-
-// side telemetry to mirror what trialSink would build locally.
+// wireRequest assembles one trial's request, arming its private telemetry
+// to mirror what the pool's sink carries.
 func (p *Pool) wireRequest(stream string, i int, kind string, params json.RawMessage) *TrialRequest {
 	req := &TrialRequest{
 		Stream: stream, Index: i, Kind: kind, Params: params,
@@ -282,91 +278,33 @@ func (p *Pool) wireRequest(stream string, i int, kind string, params json.RawMes
 // Jobs returns the worker count.
 func (p *Pool) Jobs() int { return p.jobs }
 
-// trialSink builds the private sink one trial runs against: its own metrics
-// registry, its own flight-recorder ring when the parent carries one (the
-// per-worker short-term memory of the trial it is running), and its own
-// tracer when the parent traces — all merged into the parent at commit
-// time, in trial order, so every half of the telemetry is independent of
-// worker scheduling. Nil parent sink means nil trial sinks.
-func (p *Pool) trialSink() *obs.Sink {
-	if p.sink == nil {
-		return nil
-	}
-	s := &obs.Sink{Verbosity: p.sink.Verbosity, Profiling: p.sink.Profiling}
-	if p.sink.Metrics != nil {
-		s.Metrics = obs.NewRegistry()
-	}
-	if p.sink.Flight != nil {
-		s.Flight = obs.NewFlightRecorder(obs.DefaultTrialFlightCap)
-	}
-	if p.sink.Trace != nil {
-		s.Trace = obs.NewTracer()
-	}
-	return s
-}
-
-// trialTelemetry is one executed trial's observable side effects, parked
-// with its outcome until the commit scan reaches its index. It is already
-// detached from any sink (snapshots, not live registries), so it carries
-// identically whether the trial ran on this goroutine, in a subprocess
-// worker, or was loaded back from the artifact store.
-type trialTelemetry struct {
-	metrics *obs.Snapshot     // private-registry snapshot; nil when unarmed
-	flight  []obs.FlightEvent // trial ring contents
-	hasRing bool              // the trial carried a flight ring (even if empty)
-	trace   *obs.TraceDelta   // private-tracer delta; nil when untraced
-	// persist, when non-nil, is invoked after the telemetry merge — the
-	// artifact store's write-behind hook, so results land durably in commit
-	// order and a resumed run replays the exact committed prefix.
-	persist func()
-}
-
-// telemetryOf snapshots a trial sink into its portable telemetry.
-func telemetryOf(s *obs.Sink) trialTelemetry {
-	var t trialTelemetry
-	if s == nil {
-		return t
-	}
-	if s.Metrics != nil {
-		snap := s.Metrics.Snapshot()
-		t.metrics = &snap
-	}
-	if s.Flight != nil {
-		t.flight = s.Flight.Snapshot()
-		t.hasRing = true
-	}
-	if s.Trace != nil {
-		d := s.Trace.Delta()
-		t.trace = &d
-	}
-	return t
-}
-
 // commit folds one executed trial's telemetry into the parent sink. The
-// trial's flight-recorder ring appends to the pipeline ring here — in
-// trial order, never arrival order — so pipeline ring contents are
-// byte-identical for every worker count.
-func (p *Pool) commit(i int, t trialTelemetry) {
+// response is detached from any sink, so it merges identically whether the
+// trial ran on this goroutine, in a subprocess worker, or was loaded back
+// from the artifact store. The trial's flight-recorder ring appends to the
+// pipeline ring here — in trial order, never arrival order — so pipeline
+// ring contents are byte-identical for every worker count.
+func (p *Pool) commit(i int, resp *TrialResponse, persist func()) {
 	p.committed.Inc()
-	if p.sink != nil {
-		if t.metrics != nil && p.sink.Metrics != nil {
-			p.sink.Metrics.Merge(*t.metrics)
+	if p.sink != nil && resp != nil {
+		if resp.Metrics != nil && p.sink.Metrics != nil {
+			p.sink.Metrics.Merge(*resp.Metrics)
 		}
-		if t.trace != nil && p.sink.Trace != nil {
+		if resp.Trace != nil && p.sink.Trace != nil {
 			// The trial's spans shift onto the run clock and the clock
 			// advances by the trial's cycles — end-to-end layout, exactly
 			// as if the trial had recorded into the run tracer directly.
-			p.sink.Trace.MergeDelta(*t.trace)
+			p.sink.Trace.MergeDelta(*resp.Trace)
 		}
-		if p.sink.Flight != nil && t.hasRing {
-			p.sink.Flight.Append(t.flight)
+		if p.sink.Flight != nil && resp.HasFlight {
+			p.sink.Flight.Append(resp.Flight)
 			p.sink.RecordFlight(obs.FlightEvent{
 				Cycle: p.sink.Cycles(), Trial: i, Kind: obs.FlightTrialCommit,
 			})
 		}
 	}
-	if t.persist != nil {
-		t.persist()
+	if persist != nil {
+		persist()
 	}
 }
 
@@ -396,116 +334,23 @@ func (p *Pool) FirstDegraded() *TrialError {
 // trialOutcome is one executed trial, parked until the commit scan reaches
 // its index.
 type trialOutcome[T any] struct {
-	val       T
-	ok        bool
-	err       error
-	degraded  *TrialError
-	telemetry trialTelemetry
+	val      T
+	ok       bool
+	err      error
+	degraded *TrialError
+	// resp carries the trial's telemetry (nil when the executor failed
+	// before the trial ran). persist, when non-nil, is the artifact store's
+	// write-behind hook, invoked after the telemetry merge so results land
+	// durably in commit order and a resumed run replays the exact
+	// committed prefix.
+	resp    *TrialResponse
+	persist func()
 }
 
-// trialRunner produces one trial's outcome for the pool's dispatch loop.
-// fnRunner executes closure trials on the calling goroutine; wireRunner
-// (wire.go) routes portable trials through the executor and artifact store.
-type trialRunner[T any] interface {
-	runOne(p *Pool, w int, label string, i int) trialOutcome[T]
-}
-
-// fnRunner wraps a closure trial body.
-type fnRunner[T any] struct {
-	fn func(*Trial) (T, bool, error)
-}
-
-func (r fnRunner[T]) runOne(p *Pool, w int, label string, i int) trialOutcome[T] {
-	return timedRun(p, w, func() trialOutcome[T] { return runTrial(p, label, i, r.fn) })
-}
-
-// runTrial executes one trial through the retry loop: recover every panic,
-// re-attempt up to the deterministic budget, then mark the trial degraded.
-// One sink spans all attempts of the trial, so a panicked attempt's partial
-// telemetry commits with it (deterministically — the attempt sequence is a
-// pure function of the derivation tuple). Counters are recorded on the
-// trial sink, not the pool, so their merged totals stay jobs-invariant.
-func runTrial[T any](p *Pool, label string, i int, fn func(*Trial) (T, bool, error)) trialOutcome[T] {
-	s := p.trialSink()
-	budget := p.faults.RetryBudget()
-	for attempt := 0; ; attempt++ {
-		s.RecordFlight(obs.FlightEvent{
-			Cycle: s.Cycles(), Trial: i, Attempt: attempt,
-			Kind: obs.FlightTrialStart, Detail: label,
-		})
-		tc := &Trial{
-			Index:   i,
-			Attempt: attempt,
-			Sink:    s,
-			Faults:  faultinj.NewPlan(p.faults, p.faultSeed, label, i, attempt, s),
-		}
-		v, ok, err, pan := guardedCall(fn, tc)
-		if pan == nil {
-			return trialOutcome[T]{val: v, ok: ok, err: err, telemetry: telemetryOf(s)}
-		}
-		s.Counter("harness.pool.panics").Inc()
-		if attempt >= budget {
-			s.Counter("harness.pool.degraded").Inc()
-			s.RecordFlight(obs.FlightEvent{
-				Cycle: s.Cycles(), Trial: i, Attempt: attempt,
-				Kind: obs.FlightTrialDegraded, Detail: fmt.Sprintf("panic: %v", pan),
-			})
-			return trialOutcome[T]{
-				degraded: &TrialError{
-					Label: label, Trial: i, Attempts: attempt + 1, Panic: pan,
-					// The segfault-handler moment: read the worker's ring
-					// while the failure is still in its short-term memory.
-					Events: s.FlightRecorder().Snapshot(),
-				},
-				telemetry: telemetryOf(s),
-			}
-		}
-		s.Counter("harness.pool.retries").Inc()
-		s.RecordFlight(obs.FlightEvent{
-			Cycle: s.Cycles(), Trial: i, Attempt: attempt,
-			Kind: obs.FlightTrialRetry, Detail: fmt.Sprintf("panic: %v", pan),
-		})
-	}
-}
-
-// guardedCall invokes fn under recover, converting a panic into a non-nil
-// pan result. The injected trial-panic layer fires here, inside the guard,
-// so scheduled crashes exercise exactly the recovery path real ones take.
-func guardedCall[T any](fn func(*Trial) (T, bool, error), tc *Trial) (v T, ok bool, err error, pan any) {
-	defer func() {
-		if r := recover(); r != nil {
-			var zero T
-			v, ok, err, pan = zero, false, nil, r
-		}
-	}()
-	if tc.Faults.Hit(faultinj.TrialPanic) {
-		panic(faultinj.InjectedPanic{Trial: tc.Index, Attempt: tc.Attempt})
-	}
-	v, ok, err = fn(tc)
-	return
-}
-
-// Collect runs fn(0), fn(1), ... until `need` trials have been accepted or
-// `max` trials are exhausted, fanning trials across the pool's workers. It
-// returns the accepted values in trial-index order and the attempt count:
-// the number of leading trials the sequential path would have executed
-// (decisive index + 1). fn reports ok=false to reject a trial (its run
-// still counts toward attempts and telemetry, like a success run that
-// happened to fail); a non-nil error aborts the collection at that trial.
-// A degraded trial (every attempt panicked) is rejected, not fatal.
-//
-// The returned values, attempts and merged telemetry are byte-identical
-// for every jobs setting: acceptance is decided purely by trial index, and
-// speculative trials past the decisive index are discarded unmerged.
-func Collect[T any](p *Pool, max, need int, label string, fn func(tc *Trial) (T, bool, error)) ([]T, int, error) {
-	out, attempts, _, err := run[T](p, max, need, label, fnRunner[T]{fn})
-	return out, attempts, err
-}
-
-// run is the traced entry point shared by Collect, Map, First and their
-// portable Kind variants; it also surfaces the first degraded trial for
-// callers (Map) that must not skip.
-func run[T any](p *Pool, max, need int, label string, rn trialRunner[T]) ([]T, int, *TrialError, error) {
+// run is the traced entry point shared by CollectKind, MapKind and
+// FirstKind; it also surfaces the first degraded trial for callers
+// (MapKind) that must not skip.
+func run[T any](p *Pool, max, need int, label string, rn wireRunner[T]) ([]T, int, *TrialError, error) {
 	if need <= 0 || max <= 0 {
 		return nil, 0, nil, nil
 	}
@@ -528,7 +373,7 @@ func run[T any](p *Pool, max, need int, label string, rn trialRunner[T]) ([]T, i
 }
 
 // collect is run without the tracing shell.
-func collect[T any](p *Pool, max, need int, label string, rn trialRunner[T]) ([]T, int, *TrialError, error) {
+func collect[T any](p *Pool, max, need int, label string, rn wireRunner[T]) ([]T, int, *TrialError, error) {
 	var firstDegraded *TrialError
 	if p.jobs == 1 {
 		// Sequential path: run trials in order, stop exactly at the
@@ -539,7 +384,7 @@ func collect[T any](p *Pool, max, need int, label string, rn trialRunner[T]) ([]
 			p.trials.Inc()
 			p.workerTrial(0)
 			r := rn.runOne(p, 0, label, i)
-			p.commit(i, r.telemetry)
+			p.commit(i, r.resp, r.persist)
 			if r.err != nil {
 				return out, i + 1, firstDegraded, r.err
 			}
@@ -642,7 +487,7 @@ func collect[T any](p *Pool, max, need int, label string, rn trialRunner[T]) ([]
 						delete(arrivals, commitNext)
 					}
 				}
-				p.commit(commitNext, r.telemetry)
+				p.commit(commitNext, r.resp, r.persist)
 				commitNext++
 				if r.err != nil {
 					abortErr = r.err
@@ -678,49 +523,4 @@ func (p *Pool) workerTrial(w int) {
 		return
 	}
 	p.workerTrials[w].Inc()
-}
-
-// timedRun runs one trial attempt sequence, charging its wall time to the
-// worker's busy counter when utilization tracking is armed. The timestamps
-// never feed anything committed: trial outcomes and merged telemetry stay
-// pure functions of (seed, stream, index).
-func timedRun[T any](p *Pool, w int, f func() trialOutcome[T]) trialOutcome[T] {
-	if p.workerBusy == nil {
-		return f()
-	}
-	start := time.Now()
-	r := f()
-	p.workerBusy[w].Add(uint64(time.Since(start)))
-	return r
-}
-
-// Map runs fn(0..n-1) across the pool and returns all n results in index
-// order. The first error (in trial-index order) aborts and is returned.
-// Unlike Collect, a degraded trial is a hard error: Map callers index
-// results positionally (e.g. CoverageSweep's period sweep, the overhead
-// averages), so a silently missing element would misalign or skew them.
-func Map[T any](p *Pool, n int, label string, fn func(tc *Trial) (T, error)) ([]T, error) {
-	out, _, degraded, err := run[T](p, n, n, label, fnRunner[T]{func(tc *Trial) (T, bool, error) {
-		v, err := fn(tc)
-		return v, err == nil, err
-	}})
-	if err != nil {
-		return out, err
-	}
-	if degraded != nil {
-		return out, degraded
-	}
-	return out, nil
-}
-
-// First runs fn over trials 0..max-1 and returns the first accepted result
-// in trial order along with its trial index, or index -1 if no trial was
-// accepted. Like Collect, the result is independent of the worker count.
-func First[T any](p *Pool, max int, label string, fn func(tc *Trial) (T, bool, error)) (T, int, error) {
-	out, attempts, err := Collect(p, max, 1, label, fn)
-	if err != nil || len(out) == 0 {
-		var zero T
-		return zero, -1, err
-	}
-	return out[0], attempts - 1, nil
 }

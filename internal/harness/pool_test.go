@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"stmdiag/internal/faultinj"
@@ -10,6 +12,77 @@ import (
 )
 
 func testPoolJobs() []int { return []int{1, 2, 4, 9} }
+
+// The pool tests fan out the test-only "script" kind: trial i's value,
+// verdict, error and panics are pure functions of (params, i, attempt), so
+// the in-process executor and a subprocess worker (this test binary, via
+// TestMain) compute the same outcome.
+func init() { registerKind("script", scriptKind) }
+
+// scriptParams scripts one fan-out of the "script" kind.
+type scriptParams struct {
+	// The value of trial i is i*Scale (Scale 0 means 1), i*i with Square,
+	// or the string Prefix+i when Prefix is set.
+	Scale  int    `json:"scale,omitempty"`
+	Square bool   `json:"square,omitempty"`
+	Prefix string `json:"prefix,omitempty"`
+	// Trial i is accepted when i%Every == Offset; Every 0 accepts none.
+	Every  int `json:"every,omitempty"`
+	Offset int `json:"offset,omitempty"`
+	// ErrAt returns errScript from that trial; PanicAt panics in it, on
+	// its first PanicAttempts attempts (0: on every attempt).
+	ErrAt         *int `json:"errAt,omitempty"`
+	PanicAt       *int `json:"panicAt,omitempty"`
+	PanicAttempts int  `json:"panicAttempts,omitempty"`
+	// Counter, when set, is bumped on the trial sink by every attempt
+	// that runs to completion.
+	Counter string `json:"counter,omitempty"`
+}
+
+// acceptAll scripts trials that all return their index.
+var acceptAll = scriptParams{Every: 1}
+
+// at points at a trial index, for ErrAt and PanicAt.
+func at(i int) *int { return &i }
+
+var errScript = errors.New("script trial failed")
+
+// scriptCalls counts in-process script trial bodies entered.
+var scriptCalls atomic.Int64
+
+func scriptKind(raw json.RawMessage, _ string, tc *Trial) (any, bool, error) {
+	scriptCalls.Add(1)
+	var P scriptParams
+	if err := json.Unmarshal(raw, &P); err != nil {
+		return nil, false, err
+	}
+	i := tc.Index
+	if P.PanicAt != nil && *P.PanicAt == i && (P.PanicAttempts == 0 || tc.Attempt < P.PanicAttempts) {
+		panic(fmt.Sprintf("trial %d attempt %d exploded", i, tc.Attempt))
+	}
+	if P.ErrAt != nil && *P.ErrAt == i {
+		return nil, false, errScript
+	}
+	if P.Counter != "" {
+		tc.Sink.Counter(P.Counter).Inc()
+	}
+	ok := P.Every > 0 && i%P.Every == P.Offset
+	switch {
+	case P.Prefix != "":
+		return fmt.Sprintf("%s%d", P.Prefix, i), ok, nil
+	case P.Square:
+		return i * i, ok, nil
+	case P.Scale != 0:
+		return i * P.Scale, ok, nil
+	}
+	return i, ok, nil
+}
+
+// isScriptErr matches errScript locally (errors.Is) and across the
+// subprocess wire, which carries only the message.
+func isScriptErr(err error) bool {
+	return errors.Is(err, errScript) || (err != nil && err.Error() == errScript.Error())
+}
 
 func TestTrialSeedProperties(t *testing.T) {
 	if TrialSeed(0, "sort/fail", 3) != TrialSeed(0, "sort/fail", 3) {
@@ -52,10 +125,8 @@ func TestCollectJobsInvariance(t *testing.T) {
 	for _, jobs := range testPoolJobs() {
 		sink := &obs.Sink{Metrics: obs.NewRegistry()}
 		p := NewPool(jobs, sink)
-		out, attempts, err := Collect(p, max, need, "test", func(tc *Trial) (int, bool, error) {
-			tc.Sink.Counter("test.trials").Inc()
-			return tc.Index * 10, tc.Index%3 == 0, nil
-		})
+		out, attempts, err := CollectKind[int](p, max, need, "test", "script",
+			scriptParams{Scale: 10, Every: 3, Counter: "test.trials"})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -96,9 +167,7 @@ func TestCollectJobsInvariance(t *testing.T) {
 func TestCollectExhaustsBudget(t *testing.T) {
 	for _, jobs := range testPoolJobs() {
 		p := NewPool(jobs, nil)
-		out, attempts, err := Collect(p, 6, 5, "test", func(tc *Trial) (int, bool, error) {
-			return tc.Index, tc.Index%4 == 0, nil
-		})
+		out, attempts, err := CollectKind[int](p, 6, 5, "test", "script", scriptParams{Every: 4})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -112,17 +181,12 @@ func TestCollectExhaustsBudget(t *testing.T) {
 }
 
 func TestCollectErrorAborts(t *testing.T) {
-	boom := errors.New("trial 5 exploded")
 	for _, jobs := range testPoolJobs() {
 		p := NewPool(jobs, nil)
-		out, attempts, err := Collect(p, 20, 3, "test", func(tc *Trial) (int, bool, error) {
-			if tc.Index == 5 {
-				return 0, false, boom
-			}
-			return tc.Index, tc.Index == 8, nil
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("jobs=%d: err = %v, want %v", jobs, err, boom)
+		out, attempts, err := CollectKind[int](p, 20, 3, "test", "script",
+			scriptParams{Every: 20, Offset: 8, ErrAt: at(5)})
+		if !errors.Is(err, errScript) {
+			t.Fatalf("jobs=%d: err = %v, want %v", jobs, err, errScript)
 		}
 		if attempts != 6 {
 			t.Errorf("jobs=%d: attempts = %d, want 6 (abort at trial 5)", jobs, attempts)
@@ -135,22 +199,20 @@ func TestCollectErrorAborts(t *testing.T) {
 
 func TestCollectDegenerate(t *testing.T) {
 	p := NewPool(4, nil)
-	called := false
-	fn := func(tc *Trial) (int, bool, error) { called = true; return 0, true, nil }
-	if out, n, err := Collect(p, 0, 3, "test", fn); out != nil || n != 0 || err != nil || called {
-		t.Errorf("Collect(max=0) = %v, %d, %v (called=%v)", out, n, err, called)
+	before := scriptCalls.Load()
+	called := func() bool { return scriptCalls.Load() != before }
+	if out, n, err := CollectKind[int](p, 0, 3, "test", "script", acceptAll); out != nil || n != 0 || err != nil || called() {
+		t.Errorf("Collect(max=0) = %v, %d, %v (called=%v)", out, n, err, called())
 	}
-	if out, n, err := Collect(p, 3, 0, "test", fn); out != nil || n != 0 || err != nil || called {
-		t.Errorf("Collect(need=0) = %v, %d, %v (called=%v)", out, n, err, called)
+	if out, n, err := CollectKind[int](p, 3, 0, "test", "script", acceptAll); out != nil || n != 0 || err != nil || called() {
+		t.Errorf("Collect(need=0) = %v, %d, %v (called=%v)", out, n, err, called())
 	}
 }
 
 func TestMapOrderAndAbort(t *testing.T) {
 	for _, jobs := range testPoolJobs() {
 		p := NewPool(jobs, nil)
-		out, err := Map(p, 7, "test", func(tc *Trial) (int, error) {
-			return tc.Index * tc.Index, nil
-		})
+		out, err := MapKind[int](p, 7, "test", "script", scriptParams{Square: true, Every: 1})
 		if err != nil || len(out) != 7 {
 			t.Fatalf("jobs=%d: Map = %v, %v", jobs, out, err)
 		}
@@ -159,15 +221,9 @@ func TestMapOrderAndAbort(t *testing.T) {
 				t.Errorf("jobs=%d: out[%d] = %d, want %d", jobs, i, v, i*i)
 			}
 		}
-		boom := errors.New("map failure")
-		_, err = Map(p, 7, "test", func(tc *Trial) (int, error) {
-			if tc.Index == 3 {
-				return 0, boom
-			}
-			return tc.Index, nil
-		})
-		if !errors.Is(err, boom) {
-			t.Errorf("jobs=%d: Map error = %v, want %v", jobs, err, boom)
+		_, err = MapKind[int](p, 7, "test", "script", scriptParams{Every: 1, ErrAt: at(3)})
+		if !errors.Is(err, errScript) {
+			t.Errorf("jobs=%d: Map error = %v, want %v", jobs, err, errScript)
 		}
 	}
 }
@@ -175,15 +231,12 @@ func TestMapOrderAndAbort(t *testing.T) {
 func TestFirstIndexSemantics(t *testing.T) {
 	for _, jobs := range testPoolJobs() {
 		p := NewPool(jobs, nil)
-		v, idx, err := First(p, 20, "test", func(tc *Trial) (string, bool, error) {
-			return fmt.Sprintf("trial-%d", tc.Index), tc.Index == 7, nil
-		})
+		v, idx, err := FirstKind[string](p, 20, "test", "script",
+			scriptParams{Prefix: "trial-", Every: 20, Offset: 7})
 		if err != nil || idx != 7 || v != "trial-7" {
 			t.Errorf("jobs=%d: First = %q, %d, %v; want trial-7, 7", jobs, v, idx, err)
 		}
-		_, idx, err = First(p, 5, "test", func(tc *Trial) (string, bool, error) {
-			return "", false, nil
-		})
+		_, idx, err = FirstKind[string](p, 5, "test", "script", scriptParams{Prefix: "trial-"})
 		if err != nil || idx != -1 {
 			t.Errorf("jobs=%d: First(no match) idx = %d, err = %v; want -1, nil", jobs, idx, err)
 		}
@@ -204,12 +257,8 @@ func TestCollectSurvivesPanickingTrial(t *testing.T) {
 	for _, jobs := range testPoolJobs() {
 		sink := &obs.Sink{Metrics: obs.NewRegistry()}
 		p := NewPool(jobs, sink)
-		out, attempts, err := Collect(p, max, need, "test", func(tc *Trial) (int, bool, error) {
-			if tc.Index == victim {
-				panic(fmt.Sprintf("trial %d attempt %d exploded", tc.Index, tc.Attempt))
-			}
-			return tc.Index, true, nil
-		})
+		out, attempts, err := CollectKind[int](p, max, need, "test", "script",
+			scriptParams{Every: 1, PanicAt: at(victim)})
 		if err != nil {
 			t.Fatalf("jobs=%d: err = %v, want nil (degraded trial is not fatal)", jobs, err)
 		}
@@ -251,12 +300,8 @@ func TestRetryRecoversTransientPanic(t *testing.T) {
 	for _, jobs := range testPoolJobs() {
 		sink := &obs.Sink{Metrics: obs.NewRegistry()}
 		p := NewPool(jobs, sink)
-		out, _, err := Collect(p, 5, 5, "test", func(tc *Trial) (int, bool, error) {
-			if tc.Index == 2 && tc.Attempt == 0 {
-				panic("transient")
-			}
-			return tc.Index, true, nil
-		})
+		out, _, err := CollectKind[int](p, 5, 5, "test", "script",
+			scriptParams{Every: 1, PanicAt: at(2), PanicAttempts: 1})
 		if err != nil || len(out) != 5 {
 			t.Fatalf("jobs=%d: Collect = %v, %v; want all 5 trials", jobs, out, err)
 		}
@@ -280,12 +325,7 @@ func TestRetryRecoversTransientPanic(t *testing.T) {
 func TestMapDegradedIsHardError(t *testing.T) {
 	for _, jobs := range testPoolJobs() {
 		p := NewPool(jobs, nil)
-		_, err := Map(p, 6, "maptest", func(tc *Trial) (int, error) {
-			if tc.Index == 3 {
-				panic("positional trial down")
-			}
-			return tc.Index, nil
-		})
+		_, err := MapKind[int](p, 6, "maptest", "script", scriptParams{Every: 1, PanicAt: at(3)})
 		var te *TrialError
 		if !errors.As(err, &te) {
 			t.Fatalf("jobs=%d: Map error = %v, want *TrialError", jobs, err)
@@ -316,9 +356,7 @@ func TestWithFaultsInjectedPanicDeterminism(t *testing.T) {
 		for rep := 0; rep < 2; rep++ {
 			sink := &obs.Sink{Metrics: obs.NewRegistry()}
 			p := NewPool(jobs, sink).WithFaults(spec, 7)
-			out, attempts, err := Collect(p, 40, 40, "faulttest", func(tc *Trial) (int, bool, error) {
-				return tc.Index, true, nil
-			})
+			out, attempts, err := CollectKind[int](p, 40, 40, "faulttest", "script", acceptAll)
 			if err != nil {
 				t.Fatalf("jobs=%d rep=%d: %v", jobs, rep, err)
 			}
@@ -347,5 +385,48 @@ func TestWithFaultsInjectedPanicDeterminism(t *testing.T) {
 					want.vals, want.attempts, want.metrics)
 			}
 		}
+	}
+}
+
+// TestCollectSubprocExecutor runs the acceptance, abort and retry cases
+// once through worker processes (this test binary, via TestMain): the
+// outcomes and the committed telemetry match the in-process pool's.
+func TestCollectSubprocExecutor(t *testing.T) {
+	sink := &obs.Sink{Metrics: obs.NewRegistry()}
+	e, err := NewSubprocExecutor(SubprocOptions{Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	p := NewPool(2, sink).WithExecutor(e)
+
+	out, attempts, err := CollectKind[int](p, 30, 4, "test", "script",
+		scriptParams{Scale: 10, Every: 3, Counter: "test.trials"})
+	if err != nil || attempts != 10 || fmt.Sprint(out) != "[0 30 60 90]" {
+		t.Errorf("acceptance: Collect = %v, %d, %v; want [0 30 60 90], 10, nil", out, attempts, err)
+	}
+	out, attempts, err = CollectKind[int](p, 20, 3, "test", "script",
+		scriptParams{Every: 20, Offset: 8, ErrAt: at(5)})
+	if !isScriptErr(err) || attempts != 6 || len(out) != 0 {
+		t.Errorf("abort: Collect = %v, %d, %v; want [], 6, %v", out, attempts, err, errScript)
+	}
+	out, _, err = CollectKind[int](p, 5, 5, "test", "script",
+		scriptParams{Every: 1, PanicAt: at(2), PanicAttempts: 1})
+	if err != nil || fmt.Sprint(out) != "[0 1 2 3 4]" {
+		t.Errorf("retry: Collect = %v, %v; want all 5 trials", out, err)
+	}
+
+	snap := sink.Metrics.Snapshot()
+	for name, want := range map[string]uint64{
+		"test.trials":           10,
+		"harness.pool.retries":  1,
+		"harness.pool.degraded": 0,
+	} {
+		if got := snap.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if snap.Counter("harness.executor.spawns") == 0 {
+		t.Error("subprocess run spawned no workers")
 	}
 }

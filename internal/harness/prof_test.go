@@ -141,9 +141,7 @@ func TestProfWorkerInstrumentsGated(t *testing.T) {
 	run := func(profiling bool) obs.Snapshot {
 		sink := &obs.Sink{Metrics: obs.NewRegistry(), Profiling: profiling}
 		p := NewPool(3, sink)
-		if _, _, err := Collect(p, 12, 12, "gate", func(tc *Trial) (int, bool, error) {
-			return tc.Index, true, nil
-		}); err != nil {
+		if _, _, err := CollectKind[int](p, 12, 12, "gate", "script", acceptAll); err != nil {
 			t.Fatal(err)
 		}
 		return sink.Metrics.Snapshot()

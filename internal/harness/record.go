@@ -47,7 +47,7 @@ func (k runKey) machine(seed int64, sink *obs.Sink, faults *faultinj.Plan) (*vm.
 	opts := k.workload().VMOptions(seed)
 	opts.LBRSize = k.lbrSize
 	opts.Obs, opts.Faults = sink, faults
-	p := cachedProgram(k.app)
+	p := k.app.Program()
 	if k.build != nil {
 		p, opts.SegvIoctls = k.build.Prog, k.build.SegvIoctls
 	}
@@ -120,10 +120,11 @@ func (rec *recording) record(k runKey) {
 }
 
 // derived returns the recording a trial may derive its result from, or
-// nil when it must run the VM: its fault plan is armed, its session keeps
-// no recordings, or the run is not certified.
+// nil when it must run the VM: its fault plan arms a capture layer, its
+// session keeps no recordings, or the run is not certified. Plans that arm
+// only the panic or store layers never reach the VM, so they still derive.
 func (tc *Trial) derived(k runKey) *recording {
-	if tc.Faults != nil {
+	if tc.Faults.Spec().ArmsCapture() {
 		return nil
 	}
 	return tc.recs.lookup(k)

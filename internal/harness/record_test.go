@@ -67,26 +67,41 @@ func seqBuilds(t *testing.T, a *apps.App) []core.Options {
 // observations, and every derived mean-cycles trial (plain, plain with the
 // CBI hook, each instrumented build) exactly the live cycle count. Both
 // charge the same cycles to the trial's clock; only the derived trial
-// leaves vm.runs at zero, proving it did not fall back to the VM.
+// leaves vm.runs at zero, proving it did not fall back to the VM. Fault
+// plans that arm only layers the VM never consults (the store layers, the
+// harness's trial panic) keep trials derived, with the same results.
 func TestDerivedMatchesLive(t *testing.T) {
 	const seeds = 8
+	var specs []faultinj.Spec
+	for _, in := range []string{"off", "artifact-corrupt=0.01", "panic=0.3"} {
+		spec, err := faultinj.ParseSpec(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
 	for _, a := range apps.Sequential() {
 		recs := &recordings{}
 		check := func(kind string, kf kindFunc, params any) {
 			t.Helper()
 			stream := a.Name + "/" + kind
-			for i := 0; i < seeds; i++ {
-				want, wantOK, live := runKind(t, kf, params, stream, i, nil, nil)
-				got, gotOK, derived := runKind(t, kf, params, stream, i, recs, nil)
-				if got != want || gotOK != wantOK {
-					t.Errorf("%s %s %+v seed %d: derived (%v) %s, live (%v) %s",
-						a.Name, kind, params, i, gotOK, got, wantOK, want)
-				}
-				if d, l := derived.Counter("vm.cycles"), live.Counter("vm.cycles"); d != l {
-					t.Errorf("%s %s %+v seed %d: derived charged %d cycles, live %d", a.Name, kind, params, i, d, l)
-				}
-				if n := derived.Counter("vm.runs"); n != 0 {
-					t.Errorf("%s %s %+v seed %d: derived trial ran the VM %d times", a.Name, kind, params, i, n)
+			for _, spec := range specs {
+				for i := 0; i < seeds; i++ {
+					plan := func() *faultinj.Plan { return faultinj.NewPlan(spec, 0, stream, i, 0, nil) }
+					want, wantOK, live := runKind(t, kf, params, stream, i, nil, plan())
+					got, gotOK, derived := runKind(t, kf, params, stream, i, recs, plan())
+					if got != want || gotOK != wantOK {
+						t.Errorf("%s %s %+v faults %q seed %d: derived (%v) %s, live (%v) %s",
+							a.Name, kind, params, spec, i, gotOK, got, wantOK, want)
+					}
+					if d, l := derived.Counter("vm.cycles"), live.Counter("vm.cycles"); d != l {
+						t.Errorf("%s %s %+v faults %q seed %d: derived charged %d cycles, live %d",
+							a.Name, kind, params, spec, i, d, l)
+					}
+					if n := derived.Counter("vm.runs"); n != 0 {
+						t.Errorf("%s %s %+v faults %q seed %d: derived trial ran the VM %d times",
+							a.Name, kind, params, spec, i, n)
+					}
 				}
 			}
 		}
@@ -110,9 +125,9 @@ func TestDerivedMatchesLive(t *testing.T) {
 }
 
 // TestDerivedFallsBackToVM covers the certificate's negative cases: a run
-// that spawns threads and a trial with an armed fault plan both execute on
-// the VM (vm.runs grows on the trial sink), and the armed trial never even
-// records.
+// that spawns threads and a trial whose fault plan arms a capture layer
+// both execute on the VM (vm.runs grows on the trial sink), and the armed
+// trial never even records.
 func TestDerivedFallsBackToVM(t *testing.T) {
 	recs := &recordings{}
 	for i := 0; i < 3; i++ {
@@ -134,24 +149,26 @@ func TestDerivedFallsBackToVM(t *testing.T) {
 		}
 	}
 
-	spec, err := faultinj.ParseSpec("rate=0.01,seed=3")
-	if err != nil {
-		t.Fatal(err)
-	}
 	armed := &recordings{}
 	sort := apps.ByName("sort")
-	for i := 0; i < 3; i++ {
-		plan := func() *faultinj.Plan { return faultinj.NewPlan(spec, 0, "fb/faults", i, 0, nil) }
-		for _, c := range []struct {
-			kf     kindFunc
-			params any
-		}{
-			{cbiRunKind, cbiRunParams{App: sort.Name, WantFail: true, Rate: 0.5, Seed: 3}},
-			{meanCyclesKind, meanCyclesParams{App: sort.Name, CBIHook: true, Rate: 0.5, Seed: 3}},
-		} {
-			_, _, snap := runKind(t, c.kf, c.params, "fb/faults", i, armed, plan())
-			if n := snap.Counter("vm.runs"); n != 1 {
-				t.Errorf("fault-armed %+v trial %d: vm.runs = %d, want 1", c.params, i, n)
+	for _, in := range []string{"rate=0.01,seed=3", "lbr-drop=0.01"} {
+		spec, err := faultinj.ParseSpec(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			plan := func() *faultinj.Plan { return faultinj.NewPlan(spec, 0, "fb/faults", i, 0, nil) }
+			for _, c := range []struct {
+				kf     kindFunc
+				params any
+			}{
+				{cbiRunKind, cbiRunParams{App: sort.Name, WantFail: true, Rate: 0.5, Seed: 3}},
+				{meanCyclesKind, meanCyclesParams{App: sort.Name, CBIHook: true, Rate: 0.5, Seed: 3}},
+			} {
+				_, _, snap := runKind(t, c.kf, c.params, "fb/faults", i, armed, plan())
+				if n := snap.Counter("vm.runs"); n != 1 {
+					t.Errorf("%s-armed %+v trial %d: vm.runs = %d, want 1", in, c.params, i, n)
+				}
 			}
 		}
 	}

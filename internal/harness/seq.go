@@ -61,12 +61,12 @@ type Config struct {
 	// (bug class × propagation distance) cell (-corpus-n); 0 selects
 	// DefaultCorpusPerCell.
 	CorpusPerCell int
-	// Executor routes portable trials (-executor); nil selects the
+	// Executor runs every trial (-executor); nil selects the
 	// in-process executor. Results are byte-identical for every executor —
 	// see wire.go.
 	Executor Executor
 	// Artifacts is the durable trial-result store (-resume); nil disables
-	// persistence. With a store attached, portable trials committed by an
+	// persistence. With a store attached, trials committed by an
 	// earlier (possibly killed) run are loaded back instead of re-executed,
 	// and fresh results are persisted in commit order.
 	Artifacts *artifact.Store

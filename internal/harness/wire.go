@@ -10,29 +10,27 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"time"
 
 	"stmdiag/internal/artifact"
 	"stmdiag/internal/faultinj"
 	"stmdiag/internal/obs"
 )
 
-// This file is the portable-trial layer: trial bodies expressed as data
-// (a kind name plus JSON params) instead of closures, so one trial can be
-// executed by the in-process worker, shipped to a subprocess worker, or
-// loaded back from the durable artifact store — and produce byte-identical
-// results in all three cases.
+// This file is the trial layer: every trial body is data (a registered
+// kind name plus JSON params), so one trial can be executed by the
+// in-process worker, shipped to a subprocess worker, or loaded back from
+// the durable artifact store — and produce byte-identical results in all
+// three cases.
 //
 // The identity argument: every execution path funnels through executeWire,
-// which replicates the pool's attempt loop (fault plans, retry budget,
-// flight events, degradation) exactly; and every result value crosses a
-// JSON round trip even in-process, so "fresh in-process", "fresh
-// subprocess" and "resumed from the store" are literally the same bytes by
-// construction, not by careful equivalence.
-//
-// Streams whose bodies are closures over in-memory state (the generated
-// bug corpus, coverage sweeps, adaptive search) remain "pinned": they run
-// through the same pool via Collect/Map/First, always in-process, and are
-// simply re-executed on resume. Resumable is exactly portable.
+// the one attempt loop (fault plans, retry budget, flight events,
+// degradation); and every result value crosses a JSON round trip even
+// in-process, so "fresh in-process", "fresh subprocess" and "resumed from
+// the store" are literally the same bytes by construction, not by careful
+// equivalence. Every stream — Tables 1–9, coverage sweeps, adaptive
+// search, report bundles — runs this way, so each one honours the
+// executor choice and the artifact store.
 
 // TrialRequest is one trial, as data. Its identity — what the artifact key
 // hashes — is (Stream, Index, Kind, Params, Faults, FaultSeed). The
@@ -134,8 +132,9 @@ func registerKind(name string, fn kindFunc) {
 	trialKinds[name] = fn
 }
 
-// wireSink builds the sink one wire trial runs against, mirroring
-// Pool.trialSink: private registry, private flight ring, private tracer.
+// wireSink builds the private sink one trial runs against: its own
+// registry, flight ring and tracer, merged into the pool's sink at commit
+// time in trial order, so telemetry is independent of worker scheduling.
 // Arming is purely request-driven, so the in-process executor and a
 // subprocess worker build bit-for-bit the same sink for the same request —
 // the federation identity starts here.
@@ -156,10 +155,14 @@ func wireSink(req *TrialRequest) *obs.Sink {
 	return s
 }
 
-// executeWire runs one portable trial to completion: the same attempt loop
-// as runTrial — per-attempt fault plans, panic recovery, deterministic
-// retry budget, flight events, degradation — expressed over wire types.
-// recs is the calling executor session's recorded runs (nil: none).
+// executeWire runs one trial to completion through the harness's only
+// attempt loop: recover every panic, re-attempt up to the deterministic
+// budget, then mark the trial degraded. Each attempt gets its own fault
+// plan; one sink spans all attempts, so a panicked attempt's partial
+// telemetry commits with it (deterministically — the attempt sequence is a
+// pure function of the request). Counters land on the trial sink, not the
+// pool, so their merged totals stay jobs-invariant. recs is the calling
+// executor session's recorded runs (nil: none).
 func executeWire(req *TrialRequest, recs *recordings) *TrialResponse {
 	kf, known := trialKinds[req.Kind]
 	if !known {
@@ -168,7 +171,6 @@ func executeWire(req *TrialRequest, recs *recordings) *TrialResponse {
 	}
 	s := wireSink(req)
 	resp := &TrialResponse{HasFlight: s != nil && s.Flight != nil}
-	body := func(tc *Trial) (any, bool, error) { return kf(req.Params, req.Stream, tc) }
 	budget := req.Faults.RetryBudget()
 	lastAttempt := 0
 	for attempt := 0; ; attempt++ {
@@ -184,7 +186,7 @@ func executeWire(req *TrialRequest, recs *recordings) *TrialResponse {
 			Faults:  faultinj.NewPlan(req.Faults, req.FaultSeed, req.Stream, req.Index, attempt, s),
 			recs:    recs,
 		}
-		v, ok, err, pan := guardedCall(body, tc)
+		v, ok, err, pan := guardedCall(kf, req, tc)
 		if pan == nil {
 			switch {
 			case err != nil:
@@ -210,8 +212,8 @@ func executeWire(req *TrialRequest, recs *recordings) *TrialResponse {
 			resp.Degraded = &TrialDegraded{
 				Attempts: attempt + 1,
 				Panic:    fmt.Sprint(pan),
-				// The segfault-handler moment, same as runTrial: read the
-				// worker's ring while the failure is in short-term memory.
+				// The segfault-handler moment: read the worker's ring
+				// while the failure is still in its short-term memory.
 				Events: s.FlightRecorder().Snapshot(),
 				pan:    pan,
 			}
@@ -242,6 +244,23 @@ func executeWire(req *TrialRequest, recs *recordings) *TrialResponse {
 		Attempt: lastAttempt, Worker: selfWorkerID(),
 	}
 	return resp
+}
+
+// guardedCall runs one attempt of a trial body under recover, converting a
+// panic into a non-nil pan result. The injected trial-panic layer fires
+// here, inside the guard and before the body runs, so scheduled crashes
+// exercise exactly the recovery path real ones take.
+func guardedCall(kf kindFunc, req *TrialRequest, tc *Trial) (v any, ok bool, err error, pan any) {
+	defer func() {
+		if r := recover(); r != nil {
+			v, ok, err, pan = nil, false, nil, r
+		}
+	}()
+	if tc.Faults.Hit(faultinj.TrialPanic) {
+		panic(faultinj.InjectedPanic{Trial: tc.Index, Attempt: tc.Attempt})
+	}
+	v, ok, err = kf(req.Params, req.Stream, tc)
+	return
 }
 
 // selfWorkerID reports which executor worker this process is (from the
@@ -279,13 +298,7 @@ func requestKey(req *TrialRequest) string {
 // wireOutcome converts an executed (or resumed) TrialResponse into the
 // pool's trialOutcome, decoding the value and reconstructing degradation.
 func wireOutcome[T any](label string, i int, resp *TrialResponse, persist func()) trialOutcome[T] {
-	o := trialOutcome[T]{telemetry: trialTelemetry{
-		metrics: resp.Metrics,
-		flight:  resp.Flight,
-		hasRing: resp.HasFlight,
-		trace:   resp.Trace,
-		persist: persist,
-	}}
+	o := trialOutcome[T]{resp: resp, persist: persist}
 	if d := resp.Degraded; d != nil {
 		var pan any = d.Panic
 		if d.pan != nil {
@@ -330,8 +343,8 @@ func decodeStored(data []byte) (*TrialResponse, error) {
 	return &resp, nil
 }
 
-// wireRunner dispatches portable trials through the pool's executor, with
-// the artifact store as a read-through/write-behind cache: a verified
+// wireRunner dispatches one fan-out's trials through the pool's executor,
+// with the artifact store as a read-through/write-behind cache: a verified
 // stored result skips execution entirely; a fresh result is persisted at
 // commit time, in trial order.
 type wireRunner[T any] struct {
@@ -358,42 +371,59 @@ func (r wireRunner[T]) runOne(p *Pool, w int, label string, i int) trialOutcome[
 			}
 		}
 	}
-	return timedRun(p, w, func() trialOutcome[T] {
-		resp, err := p.executor().Run(req)
-		if err != nil {
-			// Executor infrastructure failure (worker crashed repeatedly,
-			// timed out past the retry budget): degrade the trial rather
-			// than kill the run — identical handling to a trial whose every
-			// attempt panicked. An *ExecutorError carries the crash flight
-			// events (worker id, stderr tail) into the TrialError's tail.
-			p.sink.Counter("harness.executor.failed_trials").Inc()
-			te := &TrialError{Label: label, Trial: i, Attempts: 1, Panic: err}
-			var ee *ExecutorError
-			if errors.As(err, &ee) {
-				te.Attempts = ee.Attempts
-				te.Events = ee.Events
-			}
-			return trialOutcome[T]{degraded: te}
+	// Utilization timing, when armed, never feeds anything committed: trial
+	// outcomes and merged telemetry stay pure functions of the request.
+	var start time.Time
+	if p.workerBusy != nil {
+		start = time.Now()
+	}
+	resp, err := p.exec.Run(req)
+	if p.workerBusy != nil {
+		p.workerBusy[w].Add(uint64(time.Since(start)))
+	}
+	if err != nil {
+		// Executor infrastructure failure (worker crashed repeatedly,
+		// timed out past the retry budget): degrade the trial rather than
+		// kill the run — identical handling to a trial whose every attempt
+		// panicked. An *ExecutorError carries the crash flight events
+		// (worker id, stderr tail) into the TrialError's tail.
+		p.sink.Counter("harness.executor.failed_trials").Inc()
+		te := &TrialError{Label: label, Trial: i, Attempts: 1, Panic: err}
+		var ee *ExecutorError
+		if errors.As(err, &ee) {
+			te.Attempts = ee.Attempts
+			te.Events = ee.Events
 		}
-		var persist func()
-		if p.store != nil {
-			store, stream, trial := p.store, label, i
-			persist = func() {
-				if data, err := encodeStored(resp); err == nil {
-					// Put failures are counted by the store, never fatal:
-					// losing durability must not fail a healthy trial.
-					_ = store.Put(stream, trial, key, data)
-				}
+		return trialOutcome[T]{degraded: te}
+	}
+	var persist func()
+	if p.store != nil {
+		store := p.store
+		persist = func() {
+			if data, err := encodeStored(resp); err == nil {
+				// Put failures are counted by the store, never fatal:
+				// losing durability must not fail a healthy trial.
+				_ = store.Put(label, i, key, data)
 			}
 		}
-		return wireOutcome[T](label, i, resp, persist)
-	})
+	}
+	return wireOutcome[T](label, i, resp, persist)
 }
 
-// CollectKind is Collect for portable trials: the body is named by kind and
-// parameterized by params (JSON-marshaled) instead of captured in a
-// closure, so trials can run on any executor and resume from the artifact
-// store. Selection, ordering and telemetry semantics are exactly Collect's.
+// CollectKind runs trials 0, 1, ... of stream — each one the registered
+// kind body applied to params (JSON-marshaled once) — until `need` trials
+// have been accepted or `max` trials are exhausted, fanning trials across
+// the pool's workers. It returns the accepted values in trial-index order
+// and the attempt count: the number of leading trials the sequential path
+// would have executed (decisive index + 1). A rejected trial still counts
+// toward attempts and telemetry, like a success run that happened to fail;
+// a trial error aborts the collection at that trial. A degraded trial
+// (every attempt panicked) is rejected, not fatal.
+//
+// The returned values, attempts and merged telemetry are byte-identical
+// for every jobs setting and executor, fresh or resumed: acceptance is
+// decided purely by trial index, and speculative trials past the decisive
+// index are discarded unmerged.
 func CollectKind[T any](p *Pool, max, need int, stream, kind string, params any) ([]T, int, error) {
 	rn, err := newWireRunner[T](stream, kind, params)
 	if err != nil {
@@ -403,7 +433,10 @@ func CollectKind[T any](p *Pool, max, need int, stream, kind string, params any)
 	return out, attempts, err
 }
 
-// FirstKind is First for portable trials.
+// FirstKind returns the first accepted result over trials 0..max-1 in
+// trial order along with its trial index, or index -1 if no trial was
+// accepted. Like CollectKind, the result is independent of the worker
+// count.
 func FirstKind[T any](p *Pool, max int, stream, kind string, params any) (T, int, error) {
 	out, attempts, err := CollectKind[T](p, max, 1, stream, kind, params)
 	if err != nil || len(out) == 0 {
@@ -413,8 +446,13 @@ func FirstKind[T any](p *Pool, max int, stream, kind string, params any) (T, int
 	return out[0], attempts - 1, nil
 }
 
-// MapKind is Map for portable trials: all n results in index order, and a
-// degraded trial is a hard error (positional callers cannot skip).
+// MapKind runs trials 0..n-1 and returns all n results in index order. The
+// first error (in trial-index order) aborts and is returned. Unlike
+// CollectKind, a degraded trial is a hard error: MapKind callers index
+// results positionally (the coverage period sweep, the overhead averages,
+// the Table 9 corpus), so a silently missing element would misalign or
+// skew them. Kinds run under MapKind accept every trial that returns no
+// error.
 func MapKind[T any](p *Pool, n int, stream, kind string, params any) ([]T, error) {
 	rn, err := newWireRunner[T](stream, kind, params)
 	if err != nil {
@@ -439,7 +477,7 @@ func newWireRunner[T any](stream, kind string, params any) (wireRunner[T], error
 	return wireRunner[T]{kind: kind, params: raw}, nil
 }
 
-// Executor runs portable trials. Implementations must be safe for
+// Executor runs trials. Implementations must be safe for
 // concurrent Run calls (the pool's workers share one executor) and must
 // return byte-identical TrialResponses for identical TrialRequests — the
 // golden-table invariant rests on it. Run errors mean the execution

@@ -125,6 +125,14 @@ if ! cmp -s "${TMPDIR:-/tmp}/stmdiag-check-seq.txt" "${TMPDIR:-/tmp}/stmdiag-che
     echo "stdout differs between -executor inproc and -executor subprocess" >&2
     exit 1
 fi
+# Table 9's corpus programs run as trials too, so worker processes must
+# render the in-process corpus bytes from the -corpus stanza above.
+"$EXP" -corpus -corpus-n 2 -failruns 4 -succruns 4 -jobs 2 -executor subprocess \
+    2>/dev/null >"${TMPDIR:-/tmp}/stmdiag-check-csub.txt"
+if ! cmp -s "${TMPDIR:-/tmp}/stmdiag-check-c1.txt" "${TMPDIR:-/tmp}/stmdiag-check-csub.txt"; then
+    echo "table 9 stdout differs between -executor inproc and -executor subprocess" >&2
+    exit 1
+fi
 
 echo "== federated telemetry determinism"
 # The federation gate: a full-telemetry run must render byte-identical
@@ -192,6 +200,22 @@ if ! cmp -s "${TMPDIR:-/tmp}/stmdiag-check-seq.txt" "${TMPDIR:-/tmp}/stmdiag-che
     echo "stdout differs on warm -resume replay" >&2
     exit 1
 fi
+rm -rf "$RESUME_DIR"
+# The same for Table 9: kill a corpus sweep, resume it, then replay the
+# complete store; both must print the -corpus stanza's bytes.
+"$EXP" -corpus -corpus-n 2 -failruns 4 -succruns 4 -jobs 2 -resume "$RESUME_DIR" >/dev/null 2>&1 &
+KILL_PID=$!
+sleep 0.05
+kill -9 "$KILL_PID" 2>/dev/null || true
+wait "$KILL_PID" 2>/dev/null || true
+for cres in 1 2; do
+    "$EXP" -corpus -corpus-n 2 -failruns 4 -succruns 4 -jobs 4 -resume "$RESUME_DIR" \
+        2>/dev/null >"${TMPDIR:-/tmp}/stmdiag-check-cres$cres.txt"
+    if ! cmp -s "${TMPDIR:-/tmp}/stmdiag-check-c1.txt" "${TMPDIR:-/tmp}/stmdiag-check-cres$cres.txt"; then
+        echo "table 9 stdout differs after kill -9 and -resume (pass $cres)" >&2
+        exit 1
+    fi
+done
 rm -rf "$RESUME_DIR"
 # Malformed execution flags and negative run counts are usage errors
 # (exit 2) before any work runs.
