@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 
+	"stmdiag/internal/apps"
 	"stmdiag/internal/cliobs"
 	"stmdiag/internal/harness"
 	"stmdiag/internal/synth"
@@ -69,6 +70,9 @@ func main() {
 	case *app == "":
 		flag.Usage()
 		os.Exit(2)
+	case apps.ByName(*app) == nil:
+		fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *app)
+		os.Exit(1)
 	}
 	prog, _, err := target.Program()
 	if err != nil {

@@ -7,6 +7,18 @@ import (
 	"stmdiag/internal/apps"
 )
 
+// pinAdaptive fails unless res matches want field for field, so a change
+// in how adaptive runs execute (which trials derive from a recording, how
+// the active branch set reaches each trial) cannot silently move a result.
+func pinAdaptive(t *testing.T, app string, res *AdaptiveResult, want string) {
+	t.Helper()
+	got := fmt.Sprintf("found=%v iters=%d runs=%d frac=%.4f",
+		res.Found, res.Iterations, res.RunsUsed, res.EvaluatedFraction)
+	if got != want {
+		t.Errorf("%s: %s, want %s", app, got, want)
+	}
+}
+
 func TestAdaptiveFindsRootCause(t *testing.T) {
 	// sort's root-cause branch executes (with contrasting outcomes) in both
 	// run classes, so the adaptive expansion converges once the layer
@@ -18,6 +30,7 @@ func TestAdaptiveFindsRootCause(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("sort adaptive: %+v", res)
+	pinAdaptive(t, "sort", res, "found=true iters=4 runs=80 frac=0.5556")
 	if !res.Found {
 		t.Fatal("adaptive CBI did not converge on sort")
 	}
@@ -44,6 +57,8 @@ func TestAdaptiveIterationGrowth(t *testing.T) {
 	t.Logf("sort: %d iters (%.0f%% predicates); ln: %d iters (%.0f%% predicates)",
 		sortRes.Iterations, 100*sortRes.EvaluatedFraction,
 		lnRes.Iterations, 100*lnRes.EvaluatedFraction)
+	pinAdaptive(t, "sort", sortRes, "found=true iters=4 runs=80 frac=0.5556")
+	pinAdaptive(t, "ln", lnRes, "found=true iters=14 runs=280 frac=0.5952")
 	if !lnRes.Found {
 		t.Fatal("adaptive CBI did not converge on ln")
 	}
@@ -60,36 +75,11 @@ func TestAdaptiveCannotFixContextOnePredicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinAdaptive(t, "Apache2", res, "found=false iters=12 runs=144 frac=0.6364")
 	if res.Found {
 		t.Error("adaptive CBI claimed the Apache2 root cause; Context=1 predicates cannot be ranked")
 	}
 	if res.Iterations != 12 {
 		t.Errorf("iterations = %d, want the full budget", res.Iterations)
-	}
-}
-
-// TestAdaptiveResultsPinned pins every field of the adaptive searches
-// above, so a change in how their runs execute (which trials derive from a
-// recording, how the active branch set reaches each trial) cannot silently
-// move a result.
-func TestAdaptiveResultsPinned(t *testing.T) {
-	for _, c := range []struct {
-		app         string
-		runs, iters int
-		want        string
-	}{
-		{"sort", 10, 40, "found=true iters=4 runs=80 frac=0.5556"},
-		{"ln", 10, 40, "found=true iters=14 runs=280 frac=0.5952"},
-		{"Apache2", 6, 12, "found=false iters=12 runs=144 frac=0.6364"},
-	} {
-		res, err := RunAdaptive(apps.ByName(c.app), 1.0, c.runs, c.iters, Config{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := fmt.Sprintf("found=%v iters=%d runs=%d frac=%.4f",
-			res.Found, res.Iterations, res.RunsUsed, res.EvaluatedFraction)
-		if got != c.want {
-			t.Errorf("%s: %s, want %s", c.app, got, c.want)
-		}
 	}
 }

@@ -179,10 +179,10 @@ func coverageRunKind(raw json.RawMessage, _ string, tc *Trial) (any, bool, error
 // fanning the independent measurements out through the trial pool. Results
 // come back in period order regardless of the worker count.
 func CoverageSweep(t CoverageTarget, periods []int, pool *Pool) ([]*CoverageResult, error) {
-	p, _, err := t.Program()
-	if err != nil {
-		return nil, err
+	name := t.App
+	if t.Synth != nil {
+		name = "synth"
 	}
-	return MapKind[*CoverageResult](pool, len(periods), p.Name+"/coverage", "coverage-run",
+	return MapKind[*CoverageResult](pool, len(periods), name+"/coverage", "coverage-run",
 		coverageParams{CoverageTarget: t, Periods: periods})
 }
