@@ -237,27 +237,44 @@ func (s *Store) writeBlob(sha string, body []byte) error {
 // when the stored artifact failed verification — in which case the damaged
 // blob has already been quarantined and the key forgotten, so the caller
 // re-executes the trial and the fresh Put repairs the store.
-func (s *Store) Load(key string) ([]byte, bool, error) {
+func (s *Store) Load(key string) (data []byte, hit bool, err error) {
+	hit, err = s.LoadInto(key, func(b []byte) error {
+		data = b
+		return nil
+	})
+	return data, hit, err
+}
+
+// LoadInto is Load with the caller's decoding as part of verification: a
+// checksum-valid payload that decode rejects is treated like a damaged
+// one — quarantined, its key forgotten, an *Error returned — so the
+// caller's re-execution and fresh Put repair the record instead of every
+// later open tripping over it. A hit is counted only once decode accepts.
+func (s *Store) LoadInto(key string, decode func([]byte) error) (bool, error) {
 	s.mu.RLock()
 	e, ok := s.index[key]
 	s.mu.RUnlock()
 	if !ok {
 		s.misses.Inc()
-		return nil, false, nil
+		return false, nil
 	}
 	path := filepath.Join(s.dir, blobsDir, e.SHA[:2], e.SHA)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		s.evict(key, "", e)
-		return nil, false, &Error{Key: key, Path: path, Reason: "blob missing", Err: err}
+		return false, &Error{Key: key, Path: path, Reason: "blob missing", Err: err}
 	}
 	sum := sha256.Sum256(data)
 	if hex.EncodeToString(sum[:]) != e.SHA || int64(len(data)) != e.Size {
 		s.evict(key, path, e)
-		return nil, false, &Error{Key: key, Path: path, Reason: "checksum mismatch"}
+		return false, &Error{Key: key, Path: path, Reason: "checksum mismatch"}
+	}
+	if err := decode(data); err != nil {
+		s.evict(key, path, e)
+		return false, &Error{Key: key, Path: path, Reason: "undecodable record", Err: err}
 	}
 	s.hits.Inc()
-	return data, true, nil
+	return true, nil
 }
 
 // evict quarantines a damaged blob (when path != "") and forgets its key.

@@ -109,12 +109,14 @@ const pageSets = 16
 // Cache is one core's L1D. Its lines live in pages of pageSets sets,
 // indexed (set%pageSets)*Ways+way within page set/pageSets, each allocated
 // on the first fill of one of its sets: a missing page reads as all
-// Invalid, exactly as an empty cache would. A short run that touches a
-// few blocks allocates a few small pages instead of the whole cache.
+// Invalid, exactly as an empty cache would. The page table itself comes
+// with the core's first fill, so a core no thread runs on allocates
+// nothing, and a short run that touches a few blocks allocates a few
+// small pages instead of the whole cache.
 type Cache struct {
 	cfg   Config
 	nsets int
-	pages [][]line // one slot per page of sets; a nil page is all Invalid
+	pages [][]line // nil until the first fill; a nil page is all Invalid
 	stats Stats
 }
 
@@ -147,12 +149,8 @@ func NewSystem(ncores int, cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, caches: make([]*Cache, ncores)}
-	// One page table for the domain, in a single allocation; the pages
-	// themselves come with their first fill.
-	npages := (cfg.sets() + pageSets - 1) / pageSets
-	table := make([][]line, ncores*npages)
 	for i := range s.caches {
-		s.caches[i] = &Cache{cfg: cfg, nsets: cfg.sets(), pages: table[i*npages : (i+1)*npages : (i+1)*npages]}
+		s.caches[i] = &Cache{cfg: cfg, nsets: cfg.sets()}
 	}
 	return s, nil
 }
@@ -269,7 +267,11 @@ func (s *System) Peek(core int, wordAddr int64) State {
 // Small enough that find, which calls it on every access and snoop, stays
 // inlinable.
 func (c *Cache) set(set int) []line {
-	pg := c.pages[uint(set)/pageSets]
+	p := uint(set) / pageSets
+	if p >= uint(len(c.pages)) {
+		return nil // no fill yet: every set is Invalid
+	}
+	pg := c.pages[p]
 	if pg == nil {
 		return nil
 	}
@@ -293,6 +295,9 @@ func (c *Cache) find(set int, tag int64) *line {
 // otherwise the least recently used. A valid victim counts as an eviction.
 // The first fill of a set allocates its page.
 func (c *Cache) victim(set int) *line {
+	if c.pages == nil {
+		c.pages = make([][]line, (c.nsets+pageSets-1)/pageSets)
+	}
 	if pg := &c.pages[uint(set)/pageSets]; *pg == nil {
 		*pg = make([]line, pageSets*c.cfg.Ways)
 	}

@@ -101,7 +101,7 @@ func TestOrigFailurePCForCrashApp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := failureProfileOf(a, inst, 0, Config{}, nil)
+	prof, err := failureProfileOf(runKey{app: a, fail: true, build: inst, driver: true}, 0, &Trial{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestOrigFailurePCForLogApp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := failureProfileOf(a, inst, 0, Config{}, nil)
+	prof, err := failureProfileOf(runKey{app: a, fail: true, build: inst, driver: true}, 0, &Trial{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,6 +76,7 @@ type failProfileParams struct {
 // failProfileKind runs the failure workload on an instrumented build and
 // extracts the failure-run profile. A run that did not fail (or errored)
 // is rejected, not fatal — concurrency benchmarks fail probabilistically.
+// A certified recording of the build stands in for the run.
 func failProfileKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error) {
 	var P failProfileParams
 	if err := json.Unmarshal(raw, &P); err != nil {
@@ -89,7 +90,8 @@ func failProfileKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, 
 	if err != nil {
 		return nil, false, err
 	}
-	prof, err := failureProfileOf(a, inst, TrialSeed(P.Seed, stream, tc.Index), Config{LBRSize: P.LBRSize}, tc)
+	k := runKey{app: a, fail: true, build: inst, lbrSize: P.LBRSize, driver: true}
+	prof, err := failureProfileOf(k, TrialSeed(P.Seed, stream, tc.Index), tc)
 	if err != nil {
 		return vm.Profile{}, false, nil
 	}
@@ -109,7 +111,8 @@ type succProfileParams struct {
 
 // succProfileKind runs the success workload and extracts the comparable
 // success profile, falling back to the same-site failure snapshot for
-// unconditional sites.
+// unconditional sites. A certified recording of the build stands in for
+// the run; it shares its key with the build's mean-cycles trials.
 func succProfileKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error) {
 	var P succProfileParams
 	if err := json.Unmarshal(raw, &P); err != nil {
@@ -123,25 +126,24 @@ func succProfileKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, 
 	if err != nil {
 		return nil, false, err
 	}
-	res, err := runApp(inst, a.Succeed, TrialSeed(P.Seed, stream, tc.Index), Config{LBRSize: P.LBRSize}, tc)
+	k := runKey{app: a, build: inst, lbrSize: P.LBRSize, driver: true}
+	r, err := tc.profiles(k, TrialSeed(P.Seed, stream, tc.Index))
 	if err != nil {
 		if P.Strict {
 			return vm.Profile{}, false, err
 		}
 		return vm.Profile{}, false, nil
 	}
-	if a.Succeed.FailedRun(res) {
+	// Unconditional site: the same-site snapshot from a successful run is
+	// the comparable success profile.
+	prof := r.succ
+	if prof == nil {
+		prof = r.fail
+	}
+	if r.failed || prof == nil {
 		return vm.Profile{}, false, nil
 	}
-	prof, ok := core.SuccessRunProfile(res)
-	if !ok {
-		// Unconditional site: the same-site snapshot from a successful run
-		// is the comparable success profile.
-		if prof, ok = core.FailureRunProfile(res); !ok {
-			return vm.Profile{}, false, nil
-		}
-	}
-	return prof, true, nil
+	return *prof, true, nil
 }
 
 // cbiRunParams parameterizes one sampled CBI run.

@@ -83,8 +83,8 @@ type Trial struct {
 	Faults  *faultinj.Plan
 
 	// recs is the executor session's recorded runs, which certified
-	// cbi-run and mean-cycles trials derive their results from (record.go);
-	// nil runs every trial on the VM.
+	// profile, cbi-run and mean-cycles trials derive their results from
+	// (record.go); nil runs every trial on the VM.
 	recs *recordings
 }
 
@@ -355,6 +355,9 @@ func run[T any](p *Pool, max, need int, label string, rn wireRunner[T]) ([]T, in
 		return nil, 0, nil, nil
 	}
 	p.spans.Inc()
+	if p.store != nil {
+		rn.keys = newTrialKeys(p.wireRequest(label, 0, rn.kind, rn.params))
+	}
 	var traceStart uint64
 	tr := p.sink.Tracer()
 	if tr != nil {

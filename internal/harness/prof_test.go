@@ -40,16 +40,21 @@ func profCounters(s obs.Snapshot) map[string]uint64 {
 // sites) and the rendered report derived from them must be byte-identical
 // for every -jobs value, because opcode/alloc counters ride per-trial sinks
 // merged at commit in trial order and phase rollups are cycle-clock deltas
-// between fan-out barriers.
+// between fan-out barriers. It profiles the sort Table 6 row, whose
+// trials all derive from recorded runs, and a Table 7 row, whose trials
+// all execute on the VM.
 func TestProfJobsInvariance(t *testing.T) {
-	app := apps.ByName("sort")
+	seq, conc := apps.ByName("sort"), apps.Concurrent()[0]
 	var wantCounters map[string]uint64
 	var wantJSON []byte
 	for _, jobs := range testPoolJobs() {
 		cfg := profConfig()
 		cfg.Jobs = jobs
 		cfg.Obs = &obs.Sink{Metrics: obs.NewRegistry(), Profiling: true}
-		if _, err := RunSequential(app, cfg); err != nil {
+		if _, err := RunSequential(seq, cfg); err != nil {
+			t.Fatalf("jobs=%d: %v", jobs, err)
+		}
+		if _, err := RunConcurrent(conc, cfg); err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		snap := cfg.Obs.Metrics.Snapshot()
@@ -86,7 +91,8 @@ func TestProfJobsInvariance(t *testing.T) {
 				"prof.phase.capture.runs",
 				"prof.phase.replay.cycles",
 				"prof.app.sort.capture.cycles",
-				"prof.alloc.pmu.lbr.allocs",
+				"prof.app." + conc.Name + ".capture.runs",
+				"prof.alloc.pmu.lcr.allocs",
 			} {
 				if got[name] == 0 {
 					t.Errorf("%s = 0, want > 0 (counters: %d families)", name, len(got))

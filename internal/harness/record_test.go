@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -45,7 +46,7 @@ func seqBuilds(t *testing.T, a *apps.App) []core.Options {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := failureProfileOf(a, inst, 1, Config{}, nil)
+	prof, err := failureProfileOf(runKey{app: a, fail: true, build: inst, driver: true}, 1, &Trial{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +65,13 @@ func seqBuilds(t *testing.T, a *apps.App) []core.Options {
 // TestDerivedMatchesLive is the exactness check of the recorded-run
 // derivation: over every sequential app, both workloads and eight seeds, a
 // derived cbi-run trial returns exactly the live run's verdict and
-// observations, and every derived mean-cycles trial (plain, plain with the
-// CBI hook, each instrumented build) exactly the live cycle count. Both
-// charge the same cycles to the trial's clock; only the derived trial
-// leaves vm.runs at zero, proving it did not fall back to the VM. Fault
+// observations, every derived mean-cycles trial (plain, plain with the
+// CBI hook, each instrumented build) exactly the live cycle count, and
+// every derived profile trial (fail-profile on the toggling and
+// non-toggling builds, succ-profile on the reactive build, strict and
+// tolerant) exactly the live profile. All charge the same cycles to the
+// trial's clock; only the derived trial leaves vm.runs at zero, proving it
+// did not fall back to the VM. Fault
 // plans that arm only layers the VM never consults (the store layers, the
 // harness's trial panic) keep trials derived, with the same results.
 func TestDerivedMatchesLive(t *testing.T) {
@@ -112,35 +116,57 @@ func TestDerivedMatchesLive(t *testing.T) {
 		}
 		check("mean-cycles", meanCyclesKind, meanCyclesParams{App: a.Name, Seed: 3})
 		check("mean-cycles", meanCyclesKind, meanCyclesParams{App: a.Name, CBIHook: true, Rate: cbi.DefaultRate, Seed: 3})
-		for _, b := range seqBuilds(t, a) {
+		builds := seqBuilds(t, a)
+		for _, b := range builds {
 			b := b
 			check("mean-cycles", meanCyclesKind, meanCyclesParams{App: a.Name, Build: &b, Seed: 3})
 		}
+		for _, b := range builds[:2] {
+			check("fail-profile", failProfileKind, failProfileParams{App: a.Name, Build: b, Seed: 3})
+		}
+		for _, strict := range []bool{true, false} {
+			check("succ-profile", succProfileKind, succProfileParams{App: a.Name, Build: builds[2], Seed: 3, Strict: strict})
+		}
 		// cbi-run and mean-cycles record the plain program apart (no
-		// driver vs driver), per workload; plus one key per build.
-		if n := len(recs.runs); n != 2+1+4 {
-			t.Errorf("%s: %d recordings, want 7", a.Name, n)
+		// driver vs driver), per workload; plus one success-workload key
+		// per build, which the reactive succ-profile trials share; plus
+		// the failure workload on the two fail-profile builds.
+		if n := len(recs.runs); n != 2+1+4+2 {
+			t.Errorf("%s: %d recordings, want 9", a.Name, n)
 		}
 	}
 }
 
 // TestDerivedFallsBackToVM covers the certificate's negative cases: a run
 // that spawns threads and a trial whose fault plan arms a capture layer
-// both execute on the VM (vm.runs grows on the trial sink), and the armed
-// trial never even records.
+// both execute on the VM (vm.runs grows on the trial sink, and
+// harness.trials.derived stays zero), and the armed trial never even
+// records.
 func TestDerivedFallsBackToVM(t *testing.T) {
+	live := func(what string, i int, snap obs.Snapshot) {
+		t.Helper()
+		if n, d := snap.Counter("vm.runs"), snap.Counter("harness.trials.derived"); n != 1 || d != 0 {
+			t.Errorf("%s trial %d: vm.runs = %d, harness.trials.derived = %d; want 1, 0", what, i, n, d)
+		}
+	}
 	recs := &recordings{}
 	for i := 0; i < 3; i++ {
 		_, _, snap := runKind(t, meanCyclesKind, ovParams(), "fb/ov", i, recs, nil)
-		if n := snap.Counter("vm.runs"); n != 1 {
-			t.Errorf("multi-threaded %s trial %d: vm.runs = %d, want 1", apps.RWWMicro.Name, i, n)
-		}
+		live("multi-threaded "+apps.RWWMicro.Name, i, snap)
 	}
 	conc := apps.Concurrent()[0]
-	for i := 0; i < 3; i++ {
-		_, _, snap := runKind(t, cbiRunKind, cbiRunParams{App: conc.Name, WantFail: true, Rate: 0.5, Seed: 3}, "fb/cbi", i, recs, nil)
-		if n := snap.Counter("vm.runs"); n != 1 {
-			t.Errorf("multi-threaded %s trial %d: vm.runs = %d, want 1", conc.Name, i, n)
+	concBuild := core.Options{LBR: true, Toggling: true}
+	for _, c := range []struct {
+		kf     kindFunc
+		params any
+	}{
+		{cbiRunKind, cbiRunParams{App: conc.Name, WantFail: true, Rate: 0.5, Seed: 3}},
+		{failProfileKind, failProfileParams{App: conc.Name, Build: concBuild, Seed: 3}},
+		{succProfileKind, succProfileParams{App: conc.Name, Build: concBuild, Seed: 3}},
+	} {
+		for i := 0; i < 3; i++ {
+			_, _, snap := runKind(t, c.kf, c.params, "fb/conc", i, recs, nil)
+			live(fmt.Sprintf("multi-threaded %+v", c.params), i, snap)
 		}
 	}
 	for k, rec := range recs.runs {
@@ -151,6 +177,7 @@ func TestDerivedFallsBackToVM(t *testing.T) {
 
 	armed := &recordings{}
 	sort := apps.ByName("sort")
+	builds := seqBuilds(t, sort)
 	for _, in := range []string{"rate=0.01,seed=3", "lbr-drop=0.01"} {
 		spec, err := faultinj.ParseSpec(in)
 		if err != nil {
@@ -164,11 +191,11 @@ func TestDerivedFallsBackToVM(t *testing.T) {
 			}{
 				{cbiRunKind, cbiRunParams{App: sort.Name, WantFail: true, Rate: 0.5, Seed: 3}},
 				{meanCyclesKind, meanCyclesParams{App: sort.Name, CBIHook: true, Rate: 0.5, Seed: 3}},
+				{failProfileKind, failProfileParams{App: sort.Name, Build: builds[0], Seed: 3}},
+				{succProfileKind, succProfileParams{App: sort.Name, Build: builds[2], Seed: 3}},
 			} {
 				_, _, snap := runKind(t, c.kf, c.params, "fb/faults", i, armed, plan())
-				if n := snap.Counter("vm.runs"); n != 1 {
-					t.Errorf("%s-armed %+v trial %d: vm.runs = %d, want 1", in, c.params, i, n)
-				}
+				live(fmt.Sprintf("%s-armed %+v", in, c.params), i, snap)
 			}
 		}
 	}
@@ -213,8 +240,8 @@ func TestRecordingOncePerKey(t *testing.T) {
 	}
 }
 
-// TestDerivedTrialsJobsInvariance runs the sort Table 6 row — whose CBI
-// and overhead trials are derived — at the golden configuration with
+// TestDerivedTrialsJobsInvariance runs the sort Table 6 row — whose
+// profile, CBI and overhead trials are all derived — at the golden configuration with
 // metrics, trace and flight recorder armed, under in-process -jobs 1 and 4,
 // the subprocess executor at -jobs 2, and a store-backed run that is cut
 // and resumed. The row, the deterministic metrics, the trace bytes and the
@@ -222,10 +249,10 @@ func TestRecordingOncePerKey(t *testing.T) {
 // trace lane per worker, which is jobs-variant by design.)
 func TestDerivedTrialsJobsInvariance(t *testing.T) {
 	type outcome struct {
-		row         SeqResult
-		det, trace  []byte
-		flight      string
-		runs, count uint64
+		row                  SeqResult
+		det, trace           []byte
+		flight               string
+		runs, derived, count uint64
 	}
 	a := apps.ByName("sort")
 	dir := t.TempDir()
@@ -241,7 +268,8 @@ func TestDerivedTrialsJobsInvariance(t *testing.T) {
 		}
 		row.Metrics = nil
 		snap := cfg.Obs.Metrics.Snapshot()
-		o := outcome{row: *row, runs: snap.Counter("vm.runs"), count: snap.Counter("harness.pool.committed")}
+		o := outcome{row: *row, runs: snap.Counter("vm.runs"),
+			derived: snap.Counter("harness.trials.derived"), count: snap.Counter("harness.pool.committed")}
 		if o.det, err = snap.Deterministic().JSON(); err != nil {
 			t.Fatal(err)
 		}
@@ -280,8 +308,8 @@ func TestDerivedTrialsJobsInvariance(t *testing.T) {
 			return run(2, nil, s)
 		}},
 		{"store-resumed", func() outcome {
-			// Cut the store mid-row (the stand-in for kill -9): the CBI
-			// and overhead trials past the cut re-execute, derived afresh.
+			// Cut the store mid-row (the stand-in for kill -9): the
+			// trials past the cut re-execute, derived afresh.
 			s := openStore()
 			manifest := s.ManifestPath()
 			s.Close()
@@ -298,11 +326,12 @@ func TestDerivedTrialsJobsInvariance(t *testing.T) {
 		got := v.run()
 		if i == 0 {
 			want = got
-			// The 40+40 CBI trials and the 6×2 overhead trials are
-			// derived; only the capture trials run the VM.
-			if got.runs == 0 || got.count-got.runs != 92 {
-				t.Fatalf("%s: %d VM runs for %d trials, want all but the 92 CBI and overhead trials",
-					v.name, got.runs, got.count)
+			// Every trial derives: the 4+1+4 profile trials, the 40+40
+			// CBI trials and the 6×2 overhead trials. The recordings run
+			// against no sink, so no VM run is counted at all.
+			if got.runs != 0 || got.count != 101 || got.derived != 101 {
+				t.Fatalf("%s: %d VM runs, %d derived trials of %d; want 0, 101 of 101",
+					v.name, got.runs, got.derived, got.count)
 			}
 			continue
 		}

@@ -16,7 +16,6 @@ import (
 	"stmdiag/internal/core"
 	"stmdiag/internal/faultinj"
 	"stmdiag/internal/isa"
-	"stmdiag/internal/kernel"
 	"stmdiag/internal/obs"
 	"stmdiag/internal/vm"
 )
@@ -137,21 +136,6 @@ type SeqResult struct {
 	Metrics *obs.Snapshot
 }
 
-// runApp executes one instrumented run in the context of one trial
-// attempt, wiring the trial's telemetry sink and fault plan into the VM.
-// A nil trial runs outside the pool: no telemetry, no fault plan.
-func runApp(inst *core.Instrumented, w apps.Workload, seed int64, cfg Config, tc *Trial) (*vm.Result, error) {
-	opts := w.VMOptions(seed)
-	opts.Driver = kernel.Driver{}
-	opts.SegvIoctls = inst.SegvIoctls
-	opts.LBRSize = cfg.LBRSize
-	if tc != nil {
-		opts.Obs = tc.Sink
-		opts.Faults = tc.Faults
-	}
-	return vm.Run(inst.Prog, opts)
-}
-
 // branchRank returns the 1-based position of the first LBR record naming
 // the branch, newest-first; 0 if absent.
 func branchRank(p *isa.Program, prof vm.Profile, branch string) int {
@@ -180,21 +164,20 @@ func rankWithFallback(a *apps.App, p *isa.Program, prof vm.Profile) (rank int, r
 	return 0, false
 }
 
-// failureProfileOf runs the failure workload once and extracts the
-// failure-run profile.
-func failureProfileOf(a *apps.App, inst *core.Instrumented, seed int64, cfg Config, tc *Trial) (vm.Profile, error) {
-	res, err := runApp(inst, a.Fail, seed, cfg, tc)
+// failureProfileOf extracts the failure-run profile of k, a failure
+// workload run, at seed in the trial's context.
+func failureProfileOf(k runKey, seed int64, tc *Trial) (vm.Profile, error) {
+	r, err := tc.profiles(k, seed)
 	if err != nil {
 		return vm.Profile{}, err
 	}
-	if !a.Fail.FailedRun(res) {
-		return vm.Profile{}, fmt.Errorf("harness: %s failure workload did not fail (seed %d)", a.Name, seed)
+	if !r.failed {
+		return vm.Profile{}, fmt.Errorf("harness: %s failure workload did not fail (seed %d)", k.app.Name, seed)
 	}
-	prof, ok := core.FailureRunProfile(res)
-	if !ok {
-		return vm.Profile{}, fmt.Errorf("harness: %s failure run produced no profile", a.Name)
+	if r.fail == nil {
+		return vm.Profile{}, fmt.Errorf("harness: %s failure run produced no profile", k.app.Name)
 	}
-	return prof, nil
+	return *r.fail, nil
 }
 
 // origFailurePC maps a failure back to original-program coordinates for

@@ -27,9 +27,11 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("segmentation fault: invalid %s at word address %d", kind, f.Addr)
 }
 
-// pageShift sets the backing page size: 1<<pageShift words (4 KiB).
+// pageShift sets the backing page size: 1<<pageShift words (512 bytes).
+// Runs touch a few dozen words of globals and of each stack, so small
+// pages keep a machine's backing store small.
 const (
-	pageShift = 9
+	pageShift = 6
 	pageWords = 1 << pageShift
 )
 
@@ -39,7 +41,9 @@ type page [pageWords]int64
 // Segment is a contiguous mapped region. Its words are backed in pages
 // allocated on the first store into them; a word no store has reached
 // reads as 0, so a segment behaves as zero-filled from the moment it is
-// mapped while costing nothing until it is written.
+// mapped while costing nothing until it is written. The page slots cover
+// only the window of pages stores have reached (the top of a stack, the
+// front of the globals), not the whole reservation.
 type Segment struct {
 	// Name identifies the segment in diagnostics ("globals", "stack0"...).
 	Name string
@@ -47,7 +51,8 @@ type Segment struct {
 	Base int64
 
 	size  int64   // the segment spans [Base, Base+size)
-	pages []*page // nil until a store touches the page
+	first int64   // page number of pages[0]
+	pages []*page // the slot window; a nil slot reads as zeros
 }
 
 // Contains reports whether the word address falls inside the segment.
@@ -57,20 +62,47 @@ func (s *Segment) Contains(addr int64) bool {
 
 // load reads the word at offset off from Base.
 func (s *Segment) load(off int64) int64 {
-	if p := s.pages[off>>pageShift]; p != nil {
-		return p[off&(pageWords-1)]
+	if i := off>>pageShift - s.first; uint64(i) < uint64(len(s.pages)) {
+		if p := s.pages[i]; p != nil {
+			return p[off&(pageWords-1)]
+		}
 	}
 	return 0
 }
 
 // store writes the word at offset off from Base, backing its page first.
 func (s *Segment) store(off, val int64) {
-	p := s.pages[off>>pageShift]
+	i := off>>pageShift - s.first
+	if uint64(i) >= uint64(len(s.pages)) {
+		s.widen(off >> pageShift)
+		i = off>>pageShift - s.first
+	}
+	p := s.pages[i]
 	if p == nil {
 		p = new(page)
-		s.pages[off>>pageShift] = p
+		s.pages[i] = p
 	}
 	p[off&(pageWords-1)] = val
+}
+
+// widen grows the slot window to cover page n. It grows toward n by at
+// least the window's width, so a stack deepening page by page copies the
+// window a logarithmic number of times.
+func (s *Segment) widen(n int64) {
+	w := int64(len(s.pages))
+	if w == 0 {
+		s.first, s.pages = n, make([]*page, 1)
+		return
+	}
+	lo, hi := s.first, s.first+w
+	if n < lo {
+		lo = max(0, min(n, lo-w))
+	} else {
+		hi = min((s.size+pageWords-1)>>pageShift, max(n+1, hi+w))
+	}
+	pages := make([]*page, hi-lo)
+	copy(pages[s.first-lo:], s.pages)
+	s.first, s.pages = lo, pages
 }
 
 // Memory is a collection of non-overlapping segments.
@@ -93,8 +125,7 @@ func (m *Memory) Map(name string, base, size int64) (*Segment, error) {
 				name, base, base+size, s.Name, s.Base, s.Base+s.size)
 		}
 	}
-	seg := &Segment{Name: name, Base: base, size: size,
-		pages: make([]*page, (size+pageWords-1)>>pageShift)}
+	seg := &Segment{Name: name, Base: base, size: size}
 	m.segs = append(m.segs, seg)
 	return seg, nil
 }

@@ -357,10 +357,12 @@ func TestMetricsScrapeMidRun(t *testing.T) {
 		t.Error("no mid-run scrapes completed")
 	}
 	// After the row, the registry holds real pipeline metrics and still
-	// renders a parseable exposition that mentions the run counters.
+	// renders a parseable exposition that mentions the run counters. The
+	// sort row's trials all derive from recorded runs, so it counts
+	// derived trials rather than VM runs.
 	_, body, _ := get(t, ts.URL+"/metrics")
 	validateOpenMetrics(t, body)
-	for _, want := range []string{"vm_runs_total", "harness_pool_trials_total", "harness_rows_total"} {
+	for _, want := range []string{"harness_trials_derived_total", "harness_pool_trials_total", "harness_rows_total"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("final exposition missing %s", want)
 		}

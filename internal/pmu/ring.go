@@ -6,10 +6,13 @@
 package pmu
 
 // Ring is a fixed-capacity circular record buffer: writing the (n+1)-th
-// record evicts the oldest, exactly like the LBR register stack. The zero
-// Ring is unusable; construct with NewRing.
+// record evicts the oldest, exactly like the LBR register stack. Its
+// buffer is allocated on the first push, so a facility that never records
+// (the LBR of a core no thread runs on) costs no buffer. The zero Ring is
+// unusable; construct with NewRing.
 type Ring[T any] struct {
-	buf  []T
+	buf  []T // nil until the first push
+	size int
 	next int // index the next record goes to
 	full bool
 }
@@ -19,16 +22,16 @@ func NewRing[T any](capacity int) *Ring[T] {
 	if capacity <= 0 {
 		panic("pmu: ring capacity must be positive")
 	}
-	return &Ring[T]{buf: make([]T, capacity)}
+	return &Ring[T]{size: capacity}
 }
 
 // Cap returns the ring capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
+func (r *Ring[T]) Cap() int { return r.size }
 
 // Len returns how many records are currently held.
 func (r *Ring[T]) Len() int {
 	if r.full {
-		return len(r.buf)
+		return r.size
 	}
 	return r.next
 }
@@ -38,6 +41,9 @@ func (r *Ring[T]) Len() int {
 // layer counts evictions to show how fast the hardware's short-term memory
 // forgets.
 func (r *Ring[T]) Push(v T) (evicted bool) {
+	if r.buf == nil {
+		r.buf = make([]T, r.size)
+	}
 	evicted = r.full
 	r.buf[r.next] = v
 	r.next++

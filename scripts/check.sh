@@ -25,7 +25,9 @@ echo "== go test -race (obs, vm, faultinj, prof)"
 go test -race ./internal/obs/... ./internal/vm/... ./internal/faultinj/... ./internal/prof/...
 
 echo "== go test -race (harness trial pool)"
-go test -race ./internal/harness -run 'TrialSeed|Collect|Map|First|JobsInvariance|Retry|Faults|Flight'
+# Derived|Recording: the recorded runs one executor session shares across
+# the pool's workers (record.go).
+go test -race ./internal/harness -run 'TrialSeed|Collect|Map|First|JobsInvariance|Retry|Faults|Flight|Derived|Recording'
 
 echo "== go test -race (artifact store + executors)"
 # The durable trial pipeline: the artifact store takes concurrent Load/Put
