@@ -197,3 +197,39 @@ func TestLazyPages(t *testing.T) {
 		}
 	}
 }
+
+// TestPageWindow: the slot window grows in both directions — a stack
+// deepening page by page from the top, then stores near the bottom and
+// back at the top — without losing a stored word, and never spans more
+// pages than the segment has.
+func TestPageWindow(t *testing.T) {
+	m := New()
+	const base, size = 1 << 22, 16*pageWords + 3
+	seg, err := m.Map("stack0", base, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64]int64{}
+	store := func(addr int64) {
+		t.Helper()
+		v := addr*7 + 1
+		if err := m.Store(addr, v); err != nil {
+			t.Fatalf("Store(%d): %v", addr, err)
+		}
+		want[addr] = v
+	}
+	for addr := int64(base + size - 1); addr >= base+size-6*pageWords; addr -= pageWords / 2 {
+		store(addr)
+	}
+	store(base)
+	store(base + pageWords + 1)
+	store(base + size - 1)
+	for addr, v := range want {
+		if got, err := m.Load(addr); err != nil || got != v {
+			t.Errorf("Load(%d) = %d, %v; want %d", addr, got, err, v)
+		}
+	}
+	if n := int64(len(seg.pages)); seg.first < 0 || seg.first+n > (size+pageWords-1)/pageWords {
+		t.Errorf("window [%d, %d) exceeds the segment's %d pages", seg.first, seg.first+n, (size+pageWords-1)/pageWords)
+	}
+}
