@@ -17,13 +17,13 @@ package cbi
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
 
 	"stmdiag/internal/isa"
 	"stmdiag/internal/obs"
+	"stmdiag/internal/rng"
 	"stmdiag/internal/stats"
 	"stmdiag/internal/vm"
 )
@@ -81,8 +81,10 @@ type RunObs struct {
 // Attach with Attach before vm.Machine.Run; read the run's observations
 // with Finish.
 type Observer struct {
-	rate    float64
-	rng     *rand.Rand
+	// thresh is the sampling rate as a draw threshold: a site is sampled
+	// when its draw falls below it (rng.Threshold).
+	thresh  int64
+	rng     rng.Rand // by value: a stack-held Observer holds no heap generator
 	obs     RunObs
 	active  map[string]bool // nil = every branch instrumented
 	sampled *obs.Counter    // slow-path samples fired, process-wide
@@ -92,17 +94,23 @@ type Observer struct {
 // The seed must differ from the scheduler seed to avoid correlated
 // sampling.
 func NewObserver(rate float64, seed int64) *Observer {
+	o := new(Observer)
+	o.init(rate, seed)
+	return o
+}
+
+// init prepares o in place, so ReplayRun can keep its observer (and the
+// generator inside it) on the stack.
+func (o *Observer) init(rate float64, seed int64) {
 	reg := obs.Default()
 	reg.Counter("cbi.observers").Inc()
-	return &Observer{
-		rate: rate,
-		rng:  rand.New(rand.NewSource(seed)),
-		obs: RunObs{
-			Observed: make(map[Pred]bool),
-			True:     make(map[Pred]bool),
-		},
-		sampled: reg.Counter("cbi.predicates.sampled"),
+	o.thresh = rng.Threshold(rate)
+	o.rng.Seed(seed)
+	o.obs = RunObs{
+		Observed: make(map[Pred]bool),
+		True:     make(map[Pred]bool),
 	}
+	o.sampled = reg.Counter("cbi.predicates.sampled")
 }
 
 // Restrict limits instrumentation to the named branches — the adaptive
@@ -131,16 +139,21 @@ func (o *Observer) Visit(prog *isa.Program, branchID int, outcome isa.BranchEdge
 	if o.active != nil && !o.active[prog.BranchName(branchID)] {
 		return 0
 	}
-	if o.rng.Float64() >= o.rate {
+	if !o.rng.Below(o.thresh) {
 		return vm.CostSampleCheck
 	}
+	o.sample(prog, branchID, outcome)
+	return vm.CostSampleCheck + vm.CostSampleSlow
+}
+
+// sample records a fired sample: both predicates of the branch observed,
+// the one matching the outcome true.
+func (o *Observer) sample(prog *isa.Program, branchID int, outcome isa.BranchEdge) {
 	o.sampled.Inc()
 	name := prog.BranchName(branchID)
-	for _, e := range []isa.BranchEdge{isa.EdgeFalse, isa.EdgeTrue} {
-		o.obs.Observed[Pred{name, e}] = true
-	}
+	o.obs.Observed[Pred{name, isa.EdgeFalse}] = true
+	o.obs.Observed[Pred{name, isa.EdgeTrue}] = true
 	o.obs.True[Pred{name, outcome}] = true
-	return vm.CostSampleCheck + vm.CostSampleSlow
 }
 
 // Site is one executed conditional branch site of a recorded run: the
@@ -163,12 +176,39 @@ func Record(m *vm.Machine, sites *[]Site) {
 
 // Replay visits a recorded site stream of prog in order, as the live hook
 // would have during that run, and returns the cycles the sampling charged.
+// A restricted observer visits site by site; an unrestricted one draws in
+// runs up to the next sample (rng.Rand.Run), which makes the same draws
+// and decisions as Visit at every site without a call per site.
 func (o *Observer) Replay(prog *isa.Program, sites []Site) uint64 {
 	var cycles uint64
-	for _, s := range sites {
-		cycles += o.Visit(prog, int(s.Branch), s.Outcome)
+	if o.active != nil {
+		for _, s := range sites {
+			cycles += o.Visit(prog, int(s.Branch), s.Outcome)
+		}
+		return cycles
 	}
-	return cycles
+	cycles = uint64(len(sites)) * vm.CostSampleCheck
+	for i := 0; ; i++ {
+		i += o.rng.Run(o.thresh, len(sites)-i)
+		if i == len(sites) {
+			return cycles
+		}
+		o.sample(prog, int(sites[i].Branch), sites[i].Outcome)
+		cycles += vm.CostSampleSlow
+	}
+}
+
+// ReplayRun is one derived CBI run: a fresh observer with the given rate,
+// seed and restriction (nil for none) replays a recorded site stream of
+// prog. It returns the observations, unlabeled, and the sampling's cycles.
+// The observer lives in this frame, so a derived trial allocates no
+// generator.
+func ReplayRun(rate float64, seed int64, active map[string]bool, prog *isa.Program, sites []Site) (RunObs, uint64) {
+	var o Observer
+	o.init(rate, seed)
+	o.active = active
+	cycles := o.Replay(prog, sites)
+	return o.obs, cycles
 }
 
 // outcome is the edge a conditional jump takes under the thread's flags.

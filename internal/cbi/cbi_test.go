@@ -1,11 +1,14 @@
 package cbi
 
 import (
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"stmdiag/internal/apps"
 	"stmdiag/internal/isa"
+	"stmdiag/internal/obs"
 	"stmdiag/internal/vm"
 )
 
@@ -158,10 +161,13 @@ func TestRankDegenerate(t *testing.T) {
 
 // attachStepRef instruments m the way Attach did before the VM had a
 // branch hook: a per-instruction step hook that filters for conditional
-// jumps carrying a source branch. It is the reference the branch-site hook
-// must reproduce exactly.
-func attachStepRef(o *Observer, m *vm.Machine) {
+// jumps carrying a source branch. It draws its sampling decisions from its
+// own math/rand generator, seeded as the observer is, so it is an
+// independent reference for both the branch-site hook and the owned
+// generator's sampling decision.
+func attachStepRef(o *Observer, rate float64, seed int64, m *vm.Machine) {
 	prog := m.Prog()
+	ref := rand.New(rand.NewSource(seed))
 	m.SetStepHook(func(m *vm.Machine, t *vm.Thread, in *isa.Instr) {
 		if !in.Op.IsCond() || in.BranchID == isa.NoBranch {
 			return
@@ -170,7 +176,7 @@ func attachStepRef(o *Observer, m *vm.Machine) {
 			return
 		}
 		m.AddCycles(vm.CostSampleCheck)
-		if o.rng.Float64() >= o.rate {
+		if ref.Float64() >= rate {
 			return
 		}
 		m.AddCycles(vm.CostSampleSlow)
@@ -188,8 +194,8 @@ func attachStepRef(o *Observer, m *vm.Machine) {
 
 // The branch-site hook observes the same predicates, draws the sampling
 // RNG in the same order and charges the same cycles as the per-instruction
-// step-hook filter it replaced, on hand-written and benchmark programs,
-// whole or restricted.
+// step-hook filter it replaced, sampling with math/rand, on hand-written
+// and benchmark programs, whole or restricted.
 func TestBranchHookMatchesStepHookFilter(t *testing.T) {
 	type trial struct {
 		name string
@@ -229,7 +235,7 @@ func TestBranchHookMatchesStepHookFilter(t *testing.T) {
 					return o.Finish(res.Failed()), res.Cycles
 				}
 				got, gotCycles := run((*Observer).Attach)
-				want, wantCycles := run(attachStepRef)
+				want, wantCycles := run(func(o *Observer, m *vm.Machine) { attachStepRef(o, rate, 77, m) })
 				if !reflect.DeepEqual(got, want) || gotCycles != wantCycles {
 					t.Errorf("%s restrict=%v rate=%v: branch hook %d cycles, %d/%d preds; step hook %d cycles, %d/%d preds",
 						tr.name, restrict, rate, gotCycles, len(got.Observed), len(got.True),
@@ -238,4 +244,106 @@ func TestBranchHookMatchesStepHookFilter(t *testing.T) {
 			}
 		}
 	}
+}
+
+// recordSites runs prog once under opts and returns its branch-site
+// stream.
+func recordSites(t testing.TB, prog *isa.Program, opts vm.Options) []Site {
+	t.Helper()
+	m, err := vm.New(prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sites []Site
+	Record(m, &sites)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return sites
+}
+
+// Replay's run-length path makes the same decisions as Visit at every site
+// of a recorded stream: the same observations, cycles and sample count,
+// whole or restricted, at every rate; ReplayRun is the same replay.
+func TestReplayMatchesVisit(t *testing.T) {
+	sampled := obs.Default().Counter("cbi.predicates.sampled")
+	type stream struct {
+		name  string
+		prog  *isa.Program
+		sites []Site
+	}
+	p := prog(t)
+	streams := []stream{{"cbidemo", p, recordSites(t, p, vm.Options{Seed: 3, Globals: map[string]int64{"n": 20}})}}
+	for _, name := range []string{"sort", "paste", "PBZIP1"} {
+		a := apps.ByName(name)
+		streams = append(streams, stream{name, a.Program(), recordSites(t, a.Program(), a.Fail.VMOptions(5))})
+	}
+	for _, st := range streams {
+		for _, restrict := range []bool{false, true} {
+			var active map[string]bool
+			if restrict {
+				active = map[string]bool{st.prog.BranchName(int(st.sites[0].Branch)): true}
+			}
+			for _, rate := range []float64{0, 0.01, 0.5, 1} {
+				for seed := int64(0); seed < 4; seed++ {
+					before := sampled.Value()
+					v := NewObserver(rate, seed)
+					v.Restrict(active)
+					var wantCycles uint64
+					for _, s := range st.sites {
+						wantCycles += v.Visit(st.prog, int(s.Branch), s.Outcome)
+					}
+					want, wantSamples := v.Finish(false), sampled.Value()-before
+
+					before = sampled.Value()
+					r := NewObserver(rate, seed)
+					r.Restrict(active)
+					gotCycles := r.Replay(st.prog, st.sites)
+					got, gotSamples := r.Finish(false), sampled.Value()-before
+					if !reflect.DeepEqual(got, want) || gotCycles != wantCycles || gotSamples != wantSamples {
+						t.Errorf("%s restrict=%v rate=%v seed=%d: Replay %d cycles, %d samples, %d preds; Visit %d cycles, %d samples, %d preds",
+							st.name, restrict, rate, seed, gotCycles, gotSamples, len(got.True),
+							wantCycles, wantSamples, len(want.True))
+					}
+					run, runCycles := ReplayRun(rate, seed, active, st.prog, st.sites)
+					if !reflect.DeepEqual(run, want) || runCycles != wantCycles {
+						t.Errorf("%s restrict=%v rate=%v seed=%d: ReplayRun %d cycles, %d preds; Visit %d cycles, %d preds",
+							st.name, restrict, rate, seed, runCycles, len(run.True), wantCycles, len(want.True))
+					}
+				}
+			}
+		}
+	}
+}
+
+// A derived run keeps its observer, generator included, on the stack:
+// replaying a short stream allocates only the observation maps, far less
+// than one 4.9 KB generator.
+func TestReplayRunAllocatesNoGenerator(t *testing.T) {
+	p := prog(t)
+	sites := recordSites(t, p, vm.Options{Seed: 3, Globals: map[string]int64{"n": 20}})
+	const calls = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		ReplayRun(DefaultRate, int64(i), nil, p, sites)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 4096 {
+		t.Errorf("ReplayRun of %d sites allocates %d B per call, want < 4096", len(sites), per)
+	}
+}
+
+// BenchmarkReplay samples a 7,000-site recorded stream (the first sites of
+// a Cppcheck1 failure run) at the default rate, as one derived cbi-run
+// trial does.
+func BenchmarkReplay(b *testing.B) {
+	a := apps.ByName("Cppcheck1")
+	sites := recordSites(b, a.Program(), a.Fail.VMOptions(1))[:7000]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ReplayRun(DefaultRate, int64(i), nil, a.Program(), sites)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sites)), "ns/site")
 }

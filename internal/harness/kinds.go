@@ -161,9 +161,8 @@ type cbiRunParams struct {
 
 // cbiRunKind executes one CBI-instrumented run on the uninstrumented
 // program and returns its sampled predicate observations. A certified
-// recording of the workload stands in for the run: the observer replays
-// the recorded branch-site stream instead (Visit applies the restriction
-// either way).
+// recording of the workload stands in for the run: cbi.ReplayRun samples
+// the recorded branch-site stream instead, with the same restriction.
 func cbiRunKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error) {
 	var P cbiRunParams
 	if err := json.Unmarshal(raw, &P); err != nil {
@@ -175,31 +174,36 @@ func cbiRunKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error
 	}
 	k := runKey{app: a, fail: P.WantFail}
 	seed := TrialSeed(P.Seed, stream, tc.Index)
-	o := cbi.NewObserver(P.Rate, seed+31337)
+	var active map[string]bool
 	if P.Active != nil {
-		active := make(map[string]bool, len(*P.Active))
+		active = make(map[string]bool, len(*P.Active))
 		for _, name := range *P.Active {
 			active[name] = true
 		}
+	}
+	if rec := tc.derived(k); rec != nil {
+		ro, cycles := cbi.ReplayRun(P.Rate, seed+31337, active, a.Program(), rec.sites)
+		chargeDerived(tc.Sink, rec.cycles+cycles)
+		if rec.failed != P.WantFail {
+			return cbi.RunObs{}, false, nil
+		}
+		ro.Failed = P.WantFail
+		return ro, true, nil
+	}
+	m, err := k.machine(seed, tc.Sink, tc.Faults)
+	if err != nil {
+		return cbi.RunObs{}, false, err
+	}
+	o := cbi.NewObserver(P.Rate, seed+31337)
+	if active != nil {
 		o.Restrict(active)
 	}
-	var failed bool
-	if rec := tc.derived(k); rec != nil {
-		chargeDerived(tc.Sink, rec.cycles+o.Replay(a.Program(), rec.sites))
-		failed = rec.failed
-	} else {
-		m, err := k.machine(seed, tc.Sink, tc.Faults)
-		if err != nil {
-			return cbi.RunObs{}, false, err
-		}
-		o.Attach(m)
-		res, err := m.Run()
-		if err != nil {
-			return cbi.RunObs{}, false, err
-		}
-		failed = k.workload().FailedRun(res)
+	o.Attach(m)
+	res, err := m.Run()
+	if err != nil {
+		return cbi.RunObs{}, false, err
 	}
-	if failed != P.WantFail {
+	if k.workload().FailedRun(res) != P.WantFail {
 		return cbi.RunObs{}, false, nil
 	}
 	return o.Finish(P.WantFail), true, nil
@@ -243,7 +247,8 @@ func meanCyclesKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, e
 		if rec := tc.derived(k); rec != nil {
 			cycles := rec.cycles
 			if P.CBIHook {
-				cycles += cbi.NewObserver(P.Rate, seed+777).Replay(a.Program(), rec.sites)
+				_, sampling := cbi.ReplayRun(P.Rate, seed+777, nil, a.Program(), rec.sites)
+				cycles += sampling
 			}
 			chargeDerived(tc.Sink, cycles)
 			return cycles, true, nil

@@ -20,10 +20,10 @@ package pbi
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"stmdiag/internal/cache"
+	"stmdiag/internal/rng"
 	"stmdiag/internal/stats"
 	"stmdiag/internal/vm"
 )
@@ -71,7 +71,7 @@ type RunObs struct {
 // Sampler attaches interrupt-style coherence-event sampling to a machine.
 type Sampler struct {
 	period int
-	rng    *rand.Rand
+	rng    rng.Rand
 	obs    RunObs
 	count  int
 }
@@ -81,14 +81,15 @@ func NewSampler(period int, seed int64) *Sampler {
 	if period <= 0 {
 		period = DefaultPeriod
 	}
-	return &Sampler{
+	s := &Sampler{
 		period: period,
-		rng:    rand.New(rand.NewSource(seed)),
 		obs: RunObs{
 			Sites: make(map[Site]bool),
 			True:  make(map[Pred]bool),
 		},
 	}
+	s.rng.Seed(seed)
+	return s
 }
 
 // Attach installs the sampling hook. Each retired data access advances the

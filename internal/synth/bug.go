@@ -2,7 +2,6 @@ package synth
 
 import (
 	"fmt"
-	"math/rand"
 
 	"stmdiag/internal/cache"
 	"stmdiag/internal/isa"
@@ -153,10 +152,8 @@ func GenerateBug(name string, cfg BugConfig) (*BugProgram, error) {
 	if cfg.Distance > MaxDistance {
 		cfg.Distance = MaxDistance
 	}
-	g := &gen{
-		cfg: Config{Funcs: 1, StmtsPerFunc: 8, LogEvery: 5},
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-	}
+	g := &gen{cfg: Config{Funcs: 1, StmtsPerFunc: 8, LogEvery: 5}}
+	g.rng.Seed(cfg.Seed)
 	g.cfg.StmtsPerFunc += g.rng.Intn(8)
 	b := &bugGen{gen: g, cfg: cfg}
 	src := b.source()

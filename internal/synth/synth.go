@@ -20,10 +20,10 @@ package synth
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"stmdiag/internal/isa"
+	"stmdiag/internal/rng"
 )
 
 // Config shapes the generated program.
@@ -93,7 +93,8 @@ func itoa(n int) string { return fmt.Sprintf("%d", n) }
 // executed for overhead measurements as well as analyzed statically.
 func Generate(name string, cfg Config) (*isa.Program, error) {
 	cfg = cfg.withDefaults()
-	g := &gen{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	g := &gen{cfg: cfg}
+	g.rng.Seed(cfg.Seed)
 	src := g.source()
 	p, err := isa.Assemble(name, src)
 	if err != nil {
@@ -113,7 +114,7 @@ func MustGenerate(name string, cfg Config) *isa.Program {
 
 type gen struct {
 	cfg    Config
-	rng    *rand.Rand
+	rng    rng.Rand
 	b      strings.Builder
 	labels int
 	branch int

@@ -2,8 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 
 	"stmdiag/internal/cache"
 	"stmdiag/internal/faultinj"
@@ -11,6 +9,7 @@ import (
 	"stmdiag/internal/memory"
 	"stmdiag/internal/obs"
 	"stmdiag/internal/pmu"
+	"stmdiag/internal/rng"
 )
 
 // Driver services OpIoctl requests; internal/kernel provides the standard
@@ -33,30 +32,27 @@ type SchedSource interface {
 	Quantum(min, max int) int
 }
 
-// randSched is the default RNG-driven scheduler policy.
-type randSched struct{ rng *rand.Rand }
+// randSched is the default RNG-driven scheduler policy. Run keeps one in
+// its own frame when Options.Sched is nil and calls it directly, so an
+// unhooked run allocates no generator.
+type randSched struct{ rng rng.Rand }
 
-func (r randSched) Pick(runnable []int) int { return r.rng.Intn(len(runnable)) }
+func (r *randSched) Pick(runnable []int) int { return r.rng.Intn(len(runnable)) }
 
-func (r randSched) Quantum(min, max int) int {
+func (r *randSched) Quantum(min, max int) int {
 	if max > min {
 		return min + r.rng.Intn(max-min)
 	}
 	return min
 }
 
-// schedRands recycles the default scheduler's generators across runs: a
-// machine takes one in New and returns it when its run ends. Seed resets
-// a math/rand generator's whole state, so a reseeded generator draws
-// exactly what a fresh one would; reuse only saves the source's 4.9 KB
-// allocation per machine.
-var schedRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
 // DefaultSched returns the seeded default scheduling policy. Wrappers that
 // must observe (and log) exactly the decisions an unrecorded run would
 // make — the record-and-replay recorder — build on it.
 func DefaultSched(seed int64) SchedSource {
-	return randSched{rng: rand.New(rand.NewSource(seed))}
+	s := new(randSched)
+	s.rng.Seed(seed)
+	return s
 }
 
 // Options configure a run.
@@ -331,7 +327,6 @@ type Machine struct {
 	threads []*Thread
 	runq    []int // runnable IDs, rebuilt in place every quantum
 	mutexes map[int64]*mutexState
-	rng     *rand.Rand // the default scheduler's, from schedRands; nil once returned
 
 	res        Result
 	pcs        []pcInfo // per-PC run table and ring level (batch.go)
@@ -353,11 +348,6 @@ func New(prog *isa.Program, opts Options) (*Machine, error) {
 		opts:    opts,
 		mem:     memory.New(),
 		mutexes: make(map[int64]*mutexState),
-	}
-	if m.opts.Sched == nil {
-		m.rng = schedRands.Get().(*rand.Rand)
-		m.rng.Seed(opts.Seed)
-		m.opts.Sched = randSched{rng: m.rng}
 	}
 	cs, err := cache.NewSystem(opts.Cores, cache.DefaultConfig)
 	if err != nil {
@@ -550,6 +540,11 @@ func (m *Machine) Run() (*Result, error) {
 	if m.tel.prof != nil {
 		step = (*Machine).stepProf
 	}
+	sched := m.opts.Sched
+	var own randSched // the default policy's generator, used when sched is nil
+	if sched == nil {
+		own.rng.Seed(m.opts.Seed)
+	}
 	for !m.exited {
 		ids := m.runnable()
 		if len(ids) == 0 {
@@ -568,8 +563,15 @@ func (m *Machine) Run() (*Result, error) {
 			}
 			break
 		}
-		t := m.threads[ids[m.opts.Sched.Pick(ids)]]
-		quantum := m.opts.Sched.Quantum(m.opts.QuantumMin, m.opts.QuantumMax)
+		var pick, quantum int
+		if sched == nil {
+			pick = own.Pick(ids)
+			quantum = own.Quantum(m.opts.QuantumMin, m.opts.QuantumMax)
+		} else {
+			pick = sched.Pick(ids)
+			quantum = sched.Quantum(m.opts.QuantumMin, m.opts.QuantumMax)
+		}
+		t := m.threads[ids[pick]]
 		quantumStart, stepsStart := m.res.Cycles, m.res.Steps
 		// Every retired step counts one toward the limit, so the quantum
 		// is cut to the steps left. step yields whenever the thread stops
@@ -620,12 +622,6 @@ func (m *Machine) Run() (*Result, error) {
 		m.res.CacheStats = append(m.res.CacheStats, m.cache.Stats(i))
 	}
 	m.finishRun()
-	if m.rng != nil {
-		// The run is over and no thread is runnable: the scheduler is
-		// never consulted again, so its generator goes back for reuse.
-		schedRands.Put(m.rng)
-		m.rng, m.opts.Sched = nil, nil
-	}
 	return &m.res, nil
 }
 

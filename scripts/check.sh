@@ -50,7 +50,7 @@ go test -race ./internal/fleet/...
 echo "== fuzz corpus replay"
 # Replays the committed seed corpora (f.Add seeds + testdata/fuzz entries)
 # as regular tests; no fuzzing time is spent.
-go test ./internal/stats ./internal/pmu ./internal/faultinj ./internal/synth ./internal/obs -run 'Fuzz'
+go test ./internal/stats ./internal/pmu ./internal/faultinj ./internal/synth ./internal/obs ./internal/rng -run 'Fuzz'
 
 echo "== fuzz VM dispatch (bounded)"
 # Explores new programs against the VM's batched register-only runs:
