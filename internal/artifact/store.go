@@ -78,8 +78,31 @@ type Store struct {
 
 	mu    sync.RWMutex
 	index map[string]manifestEntry
+	blobs map[string]*blob // by SHA: what this session knows of each blob
 
-	puts, putBytes, hits, misses, quarantined, putErrors *obs.Counter
+	puts, putBytes, hits, reads, misses, quarantined, putErrors *obs.Counter
+}
+
+// blob is one session's knowledge of a content address. A blob the index
+// names under two or more keys (derived trials produce identical records)
+// is held in memory once a load has verified it, so its repeat loads cost
+// no read and no hash; a blob named once is never held. Held bytes live
+// until Close or until an eviction of the blob.
+type blob struct {
+	refs  int    // index keys naming this blob
+	known bool   // written or verified this session: Put skips writeBlob
+	data  []byte // verified bytes, held while refs >= 2
+	epoch int    // bumped by evict; a load that raced one marks nothing
+}
+
+// blob returns sha's session entry, creating it. Callers hold s.mu.
+func (s *Store) blob(sha string) *blob {
+	b := s.blobs[sha]
+	if b == nil {
+		b = &blob{}
+		s.blobs[sha] = b
+	}
+	return b
 }
 
 // Open opens (creating if needed) the store rooted at dir. The manifest is
@@ -103,10 +126,12 @@ func Open(dir string, sink *obs.Sink) (*Store, error) {
 		manifest: j,
 		sink:     sink,
 		index:    make(map[string]manifestEntry, len(recs)),
+		blobs:    make(map[string]*blob),
 
 		puts:        sink.Counter("artifact.puts"),
 		putBytes:    sink.Counter("artifact.put_bytes"),
 		hits:        sink.Counter("artifact.hits"),
+		reads:       sink.Counter("artifact.reads"),
 		misses:      sink.Counter("artifact.misses"),
 		quarantined: sink.Counter("artifact.quarantined"),
 		putErrors:   sink.Counter("artifact.put_errors"),
@@ -119,6 +144,9 @@ func Open(dir string, sink *obs.Sink) (*Store, error) {
 			continue
 		}
 		s.index[e.Key] = e
+	}
+	for _, e := range s.index {
+		s.blob(e.SHA).refs++
 	}
 	sink.Counter("artifact.scan_records").Add(uint64(len(recs)))
 	if rep.Salvaged() {
@@ -153,19 +181,22 @@ func (s *Store) Len() int {
 // Put persists one trial result under key. stream and trial are the trial's
 // identity coordinates, used only to derive the deterministic fault plan
 // for the store layers. Duplicate keys are no-ops (the result is already
-// durable). Put errors are counted, not fatal: losing durability must never
-// fail the trial that produced the result.
+// durable), and a blob this session already wrote or verified is not
+// written again. Put errors are counted, not fatal: losing durability must
+// never fail the trial that produced the result.
 func (s *Store) Put(stream string, trial int, key string, payload []byte) error {
+	sum := sha256.Sum256(payload)
+	sha := hex.EncodeToString(sum[:])
 	s.mu.RLock()
 	_, dup := s.index[key]
+	b := s.blobs[sha]
+	known := b != nil && b.known
 	s.mu.RUnlock()
 	if dup {
 		return nil
 	}
 	plan := faultinj.NewPlan(s.faults, s.faultSeed, stream, trial, 0, s.sink)
 
-	sum := sha256.Sum256(payload)
-	sha := hex.EncodeToString(sum[:])
 	body := payload
 	if plan.Hit(faultinj.ArtifactCorrupt) && len(payload) > 0 {
 		// Silent media corruption: the blob lands with a flipped byte but
@@ -177,9 +208,11 @@ func (s *Store) Put(stream string, trial int, key string, payload []byte) error 
 		// Torn write: only a prefix reaches the final name.
 		body = body[:plan.TruncN(faultinj.ArtifactTorn, len(body)+1)]
 	}
-	if err := s.writeBlob(sha, body); err != nil {
-		s.putErrors.Inc()
-		return &Error{Key: key, Reason: "write blob", Err: err}
+	if !known {
+		if err := s.writeBlob(sha, body); err != nil {
+			s.putErrors.Inc()
+			return &Error{Key: key, Reason: "write blob", Err: err}
+		}
 	}
 	rec, err := json.Marshal(manifestEntry{Key: key, SHA: sha, Size: int64(len(payload))})
 	if err != nil {
@@ -197,7 +230,11 @@ func (s *Store) Put(stream string, trial int, key string, payload []byte) error 
 		return &Error{Key: key, Reason: "append manifest", Err: err}
 	}
 	s.mu.Lock()
-	s.index[key] = manifestEntry{Key: key, SHA: sha, Size: int64(len(payload))}
+	if _, dup := s.index[key]; !dup {
+		s.index[key] = manifestEntry{Key: key, SHA: sha, Size: int64(len(payload))}
+		s.blob(sha).refs++
+	}
+	s.blob(sha).known = true
 	s.mu.Unlock()
 	s.puts.Inc()
 	s.putBytes.Add(uint64(len(payload)))
@@ -239,7 +276,7 @@ func (s *Store) writeBlob(sha string, body []byte) error {
 // re-executes the trial and the fresh Put repairs the store.
 func (s *Store) Load(key string) (data []byte, hit bool, err error) {
 	hit, err = s.LoadInto(key, func(b []byte) error {
-		data = b
+		data = append([]byte(nil), b...)
 		return nil
 	})
 	return data, hit, err
@@ -250,24 +287,46 @@ func (s *Store) Load(key string) (data []byte, hit bool, err error) {
 // one — quarantined, its key forgotten, an *Error returned — so the
 // caller's re-execution and fresh Put repair the record instead of every
 // later open tripping over it. A hit is counted only once decode accepts.
+//
+// A blob the index names under two or more keys is read and verified once
+// per session and its later loads are served from memory, so decode must
+// neither modify nor retain the bytes it is given.
 func (s *Store) LoadInto(key string, decode func([]byte) error) (bool, error) {
 	s.mu.RLock()
 	e, ok := s.index[key]
+	var data []byte
+	epoch := 0
+	if ok {
+		b := s.blobs[e.SHA] // every indexed SHA has an entry
+		data, epoch = b.data, b.epoch
+	}
 	s.mu.RUnlock()
 	if !ok {
 		s.misses.Inc()
 		return false, nil
 	}
 	path := filepath.Join(s.dir, blobsDir, e.SHA[:2], e.SHA)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		s.evict(key, "", e)
-		return false, &Error{Key: key, Path: path, Reason: "blob missing", Err: err}
-	}
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:]) != e.SHA || int64(len(data)) != e.Size {
-		s.evict(key, path, e)
-		return false, &Error{Key: key, Path: path, Reason: "checksum mismatch"}
+	if data == nil {
+		var err error
+		data, err = os.ReadFile(path)
+		if err != nil {
+			s.evict(key, "", e)
+			return false, &Error{Key: key, Path: path, Reason: "blob missing", Err: err}
+		}
+		s.reads.Inc()
+		sum := sha256.Sum256(data)
+		if hex.EncodeToString(sum[:]) != e.SHA || int64(len(data)) != e.Size {
+			s.evict(key, path, e)
+			return false, &Error{Key: key, Path: path, Reason: "checksum mismatch"}
+		}
+		s.mu.Lock()
+		if b := s.blobs[e.SHA]; b.epoch == epoch {
+			b.known = true
+			if b.refs >= 2 {
+				b.data = data
+			}
+		}
+		s.mu.Unlock()
 	}
 	if err := decode(data); err != nil {
 		s.evict(key, path, e)
@@ -277,8 +336,10 @@ func (s *Store) LoadInto(key string, decode func([]byte) error) (bool, error) {
 	return true, nil
 }
 
-// evict quarantines a damaged blob (when path != "") and forgets its key.
-// The manifest is not rewritten — the stale entry is shadowed by the fresh
+// evict quarantines a damaged blob (when path != "") and forgets its key
+// and the session's knowledge of the blob, so its other keys read it again
+// (and fail again) and the next Put of its bytes writes it again. The
+// manifest is not rewritten — the stale entry is shadowed by the fresh
 // record the re-executed trial appends, and open-time replay keeps the
 // last record per key.
 func (s *Store) evict(key, path string, e manifestEntry) {
@@ -286,16 +347,28 @@ func (s *Store) evict(key, path string, e manifestEntry) {
 		os.Rename(path, filepath.Join(s.dir, quarantineDir, e.SHA))
 	}
 	s.mu.Lock()
-	delete(s.index, key)
+	if cur, ok := s.index[key]; ok {
+		delete(s.index, key)
+		s.blobs[cur.SHA].refs--
+	}
+	if b := s.blobs[e.SHA]; b != nil {
+		b.known, b.data = false, nil
+		b.epoch++
+	}
 	s.mu.Unlock()
 	s.quarantined.Inc()
 }
 
-// Close closes the manifest journal. Blobs need no teardown.
+// Close closes the manifest journal and drops the blobs the session held.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil
 	}
+	s.mu.Lock()
+	for _, b := range s.blobs {
+		b.data = nil
+	}
+	s.mu.Unlock()
 	return s.manifest.Close()
 }
 

@@ -254,3 +254,226 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// sharedStore writes payload under n keys ("k0".."kn-1") and reopens the
+// store with a fresh sink, as a resumed run sees it.
+func sharedStore(t *testing.T, n int, payload []byte) (*Store, *obs.Sink) {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := s.Put("st", i, fmt.Sprint("k", i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	sink := testSink()
+	s, err = Open(dir, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s, sink
+}
+
+// counts returns the session's hit, read and quarantine counters.
+func counts(sink *obs.Sink) (hits, reads, quarantined uint64) {
+	snap := sink.Metrics.Snapshot()
+	return snap.Counter("artifact.hits"), snap.Counter("artifact.reads"), snap.Counter("artifact.quarantined")
+}
+
+// TestStoreSharedBlobReadOnce: a blob the manifest names under N keys is
+// read from disk once per session; every other load is served from the
+// verified copy, and Close drops it.
+func TestStoreSharedBlobReadOnce(t *testing.T) {
+	const n = 5
+	payload := []byte("identical derived-trial record")
+	s, sink := sharedStore(t, n, payload)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < n; i++ {
+			got, ok, err := s.Load(fmt.Sprint("k", i))
+			if err != nil || !ok || string(got) != string(payload) {
+				t.Fatalf("Load(k%d) = %q, %v, %v", i, got, ok, err)
+			}
+			got[0] ^= 0xff // Load hands out a copy: the held bytes stay intact
+		}
+	}
+	if h, r, q := counts(sink); h != 2*n || r != 1 || q != 0 {
+		t.Errorf("hits %d, reads %d, quarantined %d; want %d, 1, 0", h, r, q, 2*n)
+	}
+	s.Close()
+	for _, b := range s.blobs {
+		if b.data != nil {
+			t.Error("Close kept a held blob")
+		}
+	}
+}
+
+// TestStoreSingleKeyBlobNotHeld: a blob named by one key is not kept
+// after its load, so each load reads it.
+func TestStoreSingleKeyBlobNotHeld(t *testing.T) {
+	s, sink := sharedStore(t, 1, []byte("unique record"))
+	for i := 0; i < 2; i++ {
+		if _, ok, err := s.Load("k0"); err != nil || !ok {
+			t.Fatalf("Load = %v, %v", ok, err)
+		}
+		for _, b := range s.blobs {
+			if b.data != nil {
+				t.Fatal("single-key blob held after its load")
+			}
+		}
+	}
+	if h, r, _ := counts(sink); h != 2 || r != 2 {
+		t.Errorf("hits %d, reads %d; want 2, 2", h, r)
+	}
+}
+
+// TestStoreSharedBlobCorruptedBetweenSessions: a shared blob damaged
+// after the session that verified it closed is caught on the next
+// session's first load, quarantined, and repaired by the re-executed
+// trials' Puts.
+func TestStoreSharedBlobCorruptedBetweenSessions(t *testing.T) {
+	const n = 3
+	payload := []byte("shared record, corrupted at rest")
+	s, _ := sharedStore(t, n, payload)
+	for i := 0; i < n; i++ {
+		if _, ok, err := s.Load(fmt.Sprint("k", i)); err != nil || !ok {
+			t.Fatalf("clean Load(k%d) = %v, %v", i, ok, err)
+		}
+	}
+	path, _ := s.BlobPath("k0")
+	s.Close()
+	data, _ := os.ReadFile(path)
+	data[0] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sink := testSink()
+	s, err := Open(s.Dir(), sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var ae *Error
+	if _, ok, err := s.Load("k0"); ok || !errors.As(err, &ae) || ae.Reason != "checksum mismatch" {
+		t.Fatalf("first Load of corrupted blob = %v, %v; want checksum mismatch", ok, err)
+	}
+	// The blob is quarantined: its other keys fail too and re-execute.
+	for i := 1; i < n; i++ {
+		if _, ok, err := s.Load(fmt.Sprint("k", i)); ok || !errors.As(err, &ae) {
+			t.Fatalf("Load(k%d) after quarantine = %v, %v; want *Error", i, ok, err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if err := s.Put("st", i, fmt.Sprint("k", i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if got, ok, err := s.Load(fmt.Sprint("k", i)); err != nil || !ok || string(got) != string(payload) {
+			t.Fatalf("repaired Load(k%d) = %q, %v, %v", i, got, ok, err)
+		}
+	}
+	if h, r, q := counts(sink); h != n || r != 2 || q != n {
+		t.Errorf("hits %d, reads %d, quarantined %d; want %d, 2, %d", h, r, q, n, n)
+	}
+}
+
+// TestStoreEvictForgetsSharedBlob: once a load evicts a shared blob (here:
+// its record does not decode), the session forgets it — the next load of
+// another key reads the disk again, and the next Put of its bytes writes
+// the blob again instead of trusting the session's earlier write.
+func TestStoreEvictForgetsSharedBlob(t *testing.T) {
+	payload := []byte("shared record")
+	s, sink := sharedStore(t, 3, payload)
+	if _, ok, err := s.Load("k0"); err != nil || !ok {
+		t.Fatalf("Load(k0) = %v, %v", ok, err)
+	}
+	reject := func([]byte) error { return errors.New("not a record of this kind") }
+	if ok, err := s.LoadInto("k1", reject); ok || err == nil {
+		t.Fatalf("rejected LoadInto(k1) = %v, %v; want *Error", ok, err)
+	}
+	// k2 goes to disk again and finds the blob quarantined.
+	var ae *Error
+	if _, ok, err := s.Load("k2"); ok || !errors.As(err, &ae) || ae.Reason != "blob missing" {
+		t.Fatalf("Load(k2) of an evicted blob = %v, %v; want blob missing", ok, err)
+	}
+	if _, r, q := counts(sink); r != 1 || q != 2 {
+		t.Errorf("reads %d, quarantined %d; want 1, 2", r, q)
+	}
+	if err := s.Put("st", 1, "k1", payload); err != nil {
+		t.Fatal(err)
+	}
+	path, _ := s.BlobPath("k1")
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("Put after evict did not write the blob: %v", err)
+	}
+	if got, ok, err := s.Load("k1"); err != nil || !ok || string(got) != string(payload) {
+		t.Fatalf("repaired Load(k1) = %q, %v, %v", got, ok, err)
+	}
+}
+
+// TestStorePutSkipsKnownBlob: a blob this session already wrote is not
+// stat'ed or written again by a later Put of the same bytes under another
+// key; a new blob still is.
+func TestStorePutSkipsKnownBlob(t *testing.T) {
+	s, err := Open(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Put("st", 0, "k0", []byte("same")); err != nil {
+		t.Fatal(err)
+	}
+	path, _ := s.BlobPath("k0")
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("st", 1, "k1", []byte("same")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("Put rewrote a blob the session had written: stat err %v", err)
+	}
+	if err := s.Put("st", 2, "k2", []byte("other")); err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := s.BlobPath("k2"); p == path {
+		t.Fatal("distinct payloads share a blob")
+	} else if _, err := os.Stat(p); err != nil {
+		t.Errorf("new blob not written: %v", err)
+	}
+}
+
+// TestStoreSharedBlobConcurrentLoads runs parallel LoadInto calls on one
+// shared blob under -race: every load sees the verified bytes, and the
+// blob is read at most once per key however the loads interleave.
+func TestStoreSharedBlobConcurrentLoads(t *testing.T) {
+	const keys, loaders = 8, 32
+	payload := []byte("shared by every key")
+	s, sink := sharedStore(t, keys, payload)
+	var wg sync.WaitGroup
+	for i := 0; i < loaders; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ok, err := s.LoadInto(fmt.Sprint("k", i%keys), func(b []byte) error {
+				if string(b) != string(payload) {
+					return fmt.Errorf("loaded %q", b)
+				}
+				return nil
+			})
+			if err != nil || !ok {
+				t.Errorf("LoadInto(k%d) = %v, %v", i%keys, ok, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if h, r, q := counts(sink); h != loaders || r < 1 || r > loaders || q != 0 {
+		t.Errorf("hits %d, reads %d, quarantined %d; want %d, 1..%d, 0", h, r, q, loaders, loaders)
+	}
+}

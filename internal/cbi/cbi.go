@@ -83,9 +83,13 @@ type RunObs struct {
 type Observer struct {
 	// thresh is the sampling rate as a draw threshold: a site is sampled
 	// when its draw falls below it (rng.Threshold).
-	thresh  int64
-	rng     rng.Rand // by value: a stack-held Observer holds no heap generator
-	obs     RunObs
+	thresh int64
+	rng    rng.Rand // by value: a stack-held Observer holds no heap generator
+	obs    RunObs
+	// seen holds, per branch ID of prog, a bit per outcome sampled; a
+	// nonzero entry is an observed branch. fold turns it into obs's maps.
+	seen    []uint8
+	prog    *isa.Program
 	active  map[string]bool // nil = every branch instrumented
 	sampled *obs.Counter    // slow-path samples fired, process-wide
 }
@@ -147,13 +151,31 @@ func (o *Observer) Visit(prog *isa.Program, branchID int, outcome isa.BranchEdge
 }
 
 // sample records a fired sample: both predicates of the branch observed,
-// the one matching the outcome true.
+// the one matching the outcome true. It only sets the outcome's bit; fold
+// builds the predicate maps once per run.
 func (o *Observer) sample(prog *isa.Program, branchID int, outcome isa.BranchEdge) {
 	o.sampled.Inc()
-	name := prog.BranchName(branchID)
-	o.obs.Observed[Pred{name, isa.EdgeFalse}] = true
-	o.obs.Observed[Pred{name, isa.EdgeTrue}] = true
-	o.obs.True[Pred{name, outcome}] = true
+	if o.seen == nil {
+		o.seen, o.prog = make([]uint8, len(prog.Branches)), prog
+	}
+	o.seen[branchID] |= 1 << outcome
+}
+
+// fold adds the sampled outcomes to the run's predicate maps.
+func (o *Observer) fold() {
+	for id, bits := range o.seen {
+		if bits == 0 {
+			continue
+		}
+		name := o.prog.BranchName(id)
+		o.obs.Observed[Pred{name, isa.EdgeFalse}] = true
+		o.obs.Observed[Pred{name, isa.EdgeTrue}] = true
+		for _, e := range [...]isa.BranchEdge{isa.EdgeFalse, isa.EdgeTrue} {
+			if bits&(1<<e) != 0 {
+				o.obs.True[Pred{name, e}] = true
+			}
+		}
+	}
 }
 
 // Site is one executed conditional branch site of a recorded run: the
@@ -208,6 +230,7 @@ func ReplayRun(rate float64, seed int64, active map[string]bool, prog *isa.Progr
 	o.init(rate, seed)
 	o.active = active
 	cycles := o.Replay(prog, sites)
+	o.fold()
 	return o.obs, cycles
 }
 
@@ -221,6 +244,7 @@ func outcome(t *vm.Thread, in *isa.Instr) isa.BranchEdge {
 
 // Finish returns the observations, labeling the run.
 func (o *Observer) Finish(failed bool) RunObs {
+	o.fold()
 	o.obs.Failed = failed
 	return o.obs
 }

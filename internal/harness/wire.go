@@ -314,38 +314,57 @@ func (k trialKeys) key(index int) string {
 // wireOutcome converts an executed TrialResponse into the pool's
 // trialOutcome, decoding the value and reconstructing degradation.
 func wireOutcome[T any](label string, i int, resp *TrialResponse, persist func()) trialOutcome[T] {
-	o, err := decodeOutcome[T](label, i, resp)
-	if err != nil {
-		o.err = fmt.Errorf("harness: decode %q trial %d result: %w", label, i, err)
-	}
+	o, accepted := respOutcome[T](label, i, resp)
 	o.persist = persist
+	if accepted {
+		if err := json.Unmarshal(resp.Value, &o.val); err != nil {
+			o.err = fmt.Errorf("harness: decode %q trial %d result: %w", label, i, err)
+		} else {
+			o.ok = true
+		}
+	}
 	return o
 }
 
-// decodeOutcome is wireOutcome without the persist hook, returning a value
-// that does not decode into T as an error of its own: for a fresh response
-// that is a bug in the kind, for a stored one a record to repair.
-func decodeOutcome[T any](label string, i int, resp *TrialResponse) (trialOutcome[T], error) {
-	o := trialOutcome[T]{resp: resp}
+// respOutcome is a response's verdict as a trialOutcome, with degradation
+// reconstructed; accepted reports an accepted value still to be decoded.
+func respOutcome[T any](label string, i int, resp *TrialResponse) (o trialOutcome[T], accepted bool) {
+	o.resp = resp
 	if d := resp.Degraded; d != nil {
 		var pan any = d.Panic
 		if d.pan != nil {
 			pan = d.pan
 		}
 		o.degraded = &TrialError{Label: label, Trial: i, Attempts: d.Attempts, Panic: pan, Events: d.Events}
-		return o, nil
+		return o, false
 	}
 	if err := resp.respErr(); err != nil {
 		o.err = err
-		return o, nil
+		return o, false
 	}
-	if !resp.OK {
-		return o, nil
+	return o, resp.OK
+}
+
+// storedRecord is a stored TrialResponse with its value typed as the
+// kind's result: encoding/json resolves the "value" key to the outer,
+// shallower field, so one Unmarshal decodes the record and its value.
+type storedRecord[T any] struct {
+	TrialResponse
+	Value T `json:"value"`
+}
+
+// loadOutcome decodes a stored trial record in one pass. A record that
+// does not decode — its value not a T included — is an error: a record to
+// repair.
+func loadOutcome[T any](label string, i int, data []byte) (trialOutcome[T], error) {
+	var rec storedRecord[T]
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return trialOutcome[T]{}, err
 	}
-	if err := json.Unmarshal(resp.Value, &o.val); err != nil {
-		return o, err
+	o, accepted := respOutcome[T](label, i, &rec.TrialResponse)
+	if accepted {
+		o.val, o.ok = rec.Value, true
 	}
-	o.ok = true
 	return o, nil
 }
 
@@ -358,15 +377,6 @@ func encodeStored(resp *TrialResponse) ([]byte, error) {
 	stored := *resp
 	stored.Ctx = nil
 	return json.Marshal(&stored)
-}
-
-// decodeStored parses a stored trial record.
-func decodeStored(data []byte) (*TrialResponse, error) {
-	var resp TrialResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }
 
 // wireRunner dispatches one fan-out's trials through the pool's executor,
@@ -385,12 +395,8 @@ func (r wireRunner[T]) runOne(p *Pool, w int, label string, i int) trialOutcome[
 	if p.store != nil {
 		key = r.keys.key(i)
 		var o trialOutcome[T]
-		hit, aerr := p.store.LoadInto(key, func(data []byte) error {
-			resp, err := decodeStored(data)
-			if err != nil {
-				return err
-			}
-			o, err = decodeOutcome[T](label, i, resp)
+		hit, aerr := p.store.LoadInto(key, func(data []byte) (err error) {
+			o, err = loadOutcome[T](label, i, data)
 			return err
 		})
 		if aerr != nil {

@@ -13,8 +13,11 @@ import (
 
 	"stmdiag/internal/apps"
 	"stmdiag/internal/artifact"
+	"stmdiag/internal/cbi"
+	"stmdiag/internal/core"
 	"stmdiag/internal/faultinj"
 	"stmdiag/internal/obs"
+	"stmdiag/internal/vm"
 )
 
 // TestMain lets the test binary double as a subprocess-executor worker:
@@ -467,5 +470,144 @@ func TestRequestKeyIdentity(t *testing.T) {
 		if got := requestKey(c.req); got != c.want {
 			t.Errorf("requestKey(%s #%d) = %s, want %s", c.req.Stream, c.req.Index, got, c.want)
 		}
+	}
+}
+
+// checkLoadOutcome holds loadOutcome's one-pass decode of resp's stored
+// record to the two-pass path it replaced: parse the record into a
+// TrialResponse, then decode its value into T.
+func checkLoadOutcome[T any](t *testing.T, name string, resp *TrialResponse) {
+	t.Helper()
+	data, err := encodeStored(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parsed TrialResponse
+	if err := json.Unmarshal(data, &parsed); err != nil {
+		t.Fatal(err)
+	}
+	want := wireOutcome[T]("lo", 3, &parsed, nil)
+	got, err := loadOutcome[T]("lo", 3, data)
+	if err != nil {
+		t.Fatalf("%s: loadOutcome: %v", name, err)
+	}
+	if fmt.Sprint(got.err) != fmt.Sprint(want.err) || got.ok != want.ok ||
+		!reflect.DeepEqual(got.val, want.val) || !reflect.DeepEqual(got.degraded, want.degraded) {
+		t.Errorf("%s: one pass = (%v, ok=%v, err=%v, degraded=%v), two passes = (%v, ok=%v, err=%v, degraded=%v)",
+			name, got.val, got.ok, got.err, got.degraded, want.val, want.ok, want.err, want.degraded)
+	}
+	// The telemetry the commit merges is the same; only the raw value,
+	// which a loaded outcome no longer keeps, differs.
+	wantResp := *want.resp
+	wantResp.Value = nil
+	if !reflect.DeepEqual(*got.resp, wantResp) {
+		t.Errorf("%s: one-pass response %+v, two-pass %+v", name, *got.resp, wantResp)
+	}
+}
+
+// TestLoadOutcomeMatchesTwoPass: decoding a stored record in one pass
+// gives the outcome the record-then-value decode gave, for every record
+// shape the trial path writes.
+func TestLoadOutcomeMatchesTwoPass(t *testing.T) {
+	req := func(kind string, params any, armed bool, faults string) *TrialRequest {
+		raw, err := json.Marshal(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := faultinj.ParseSpec(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &TrialRequest{Stream: "lo", Index: 3, Kind: kind, Params: raw, Faults: spec,
+			Metrics: armed, Flight: armed, Trace: armed}
+	}
+	cycles := executeWire(req("mean-cycles", ovParams(), false, ""), nil)
+	armed := executeWire(req("mean-cycles", ovParams(), true, ""), nil)
+	profile := executeWire(req("fail-profile", failProfileParams{App: "sort", Build: core.Options{LBR: true}}, false, ""), nil)
+	run := executeWire(req("cbi-run", cbiRunParams{App: "sort", WantFail: true, Rate: 0.5}, true, ""), nil)
+	degraded := executeWire(req("mean-cycles", ovParams(), true, "panic=1"), nil)
+	errResp := executeWire(req("no-such-kind", nil, false, ""), nil)
+	for _, c := range []struct {
+		name string
+		resp *TrialResponse
+		ok   bool
+	}{{"uint64", cycles, true}, {"armed", armed, true}, {"profile", profile, true}, {"cbi", run, true}} {
+		if c.resp.OK != c.ok || c.resp.Err != "" || c.resp.Degraded != nil {
+			t.Fatalf("%s: fixture response ok=%v err=%q degraded=%v", c.name, c.resp.OK, c.resp.Err, c.resp.Degraded)
+		}
+	}
+	if armed.Metrics == nil || armed.Trace == nil || len(armed.Flight) == 0 {
+		t.Fatal("armed fixture carries no telemetry")
+	}
+	if degraded.Degraded == nil || len(degraded.Degraded.Events) == 0 {
+		t.Fatal("degraded fixture carries no flight events")
+	}
+	if errResp.Err == "" {
+		t.Fatal("error fixture carries no error")
+	}
+	rejected := *armed
+	rejected.Value, rejected.OK = nil, false
+
+	checkLoadOutcome[uint64](t, "accepted uint64", cycles)
+	checkLoadOutcome[uint64](t, "telemetry armed", armed)
+	checkLoadOutcome[vm.Profile](t, "accepted vm.Profile", profile)
+	checkLoadOutcome[cbi.RunObs](t, "accepted cbi.RunObs", run)
+	checkLoadOutcome[uint64](t, "rejected", &rejected)
+	checkLoadOutcome[uint64](t, "err", errResp)
+	checkLoadOutcome[uint64](t, "degraded", degraded)
+}
+
+// TestPriorStoreLoadsClean: testdata/prior-store was written by the code
+// before stored records decoded in one pass (stmdiag -app sort -failruns 2
+// -succruns 2 -cbiruns 10 -jobs 1 -resume). Every trial of that row loads
+// from it — no miss, nothing quarantined or re-executed — and the row
+// equals a fresh one.
+func TestPriorStoreLoadsClean(t *testing.T) {
+	// A copy: opening a store writes to it.
+	src, dir := filepath.Join("testdata", "prior-store"), t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{FailRuns: 2, SuccRuns: 2, CBIRuns: 10, Jobs: 1}
+	want, err := RunSequential(apps.ByName("sort"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := testWireSink()
+	st, err := artifact.Open(dir, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cfg.Obs, cfg.Artifacts = sink, st
+	got, err := RunSequential(apps.ByName("sort"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Metrics = nil // the sink's snapshot; the fresh run had none
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("row from the prior store %+v, fresh %+v", got, want)
+	}
+	snap := sink.Metrics.Snapshot()
+	if h, m, q, re := snap.Counter("artifact.hits"), snap.Counter("artifact.misses"),
+		snap.Counter("artifact.quarantined"), snap.Counter("artifact.reexecuted"); h == 0 || m != 0 || q != 0 || re != 0 {
+		t.Errorf("hits %d, misses %d, quarantined %d, reexecuted %d; want >0, 0, 0, 0", h, m, q, re)
+	}
+	if r, h := snap.Counter("artifact.reads"), snap.Counter("artifact.hits"); r >= h {
+		t.Errorf("%d blob reads for %d hits: shared blobs were read more than once", r, h)
 	}
 }

@@ -31,11 +31,13 @@ go test -race ./internal/harness -run 'TrialSeed|Collect|Map|First|JobsInvarianc
 
 echo "== go test -race (artifact store + executors)"
 # The durable trial pipeline: the artifact store takes concurrent Load/Put
-# from pool workers, and the subprocess executor shares its worker freelist
-# across them; both run under the race detector, plus the harness-level
-# executor-equivalence and kill-resume suites.
+# from pool workers (TestStoreSharedBlobConcurrentLoads drives parallel
+# loads of one blob the session holds), and the subprocess executor shares
+# its worker freelist across them; both run under the race detector, plus
+# the harness-level executor-equivalence, kill-resume and stored-record
+# suites.
 go test -race ./internal/artifact/...
-go test -race ./internal/harness -run 'ExecutorEquivalence|KillResume|CorruptArtifact|Subproc|RequestKey|UnknownKind|CarriesContext|StderrTail'
+go test -race ./internal/harness -run 'ExecutorEquivalence|KillResume|CorruptArtifact|UndecodableArtifact|PriorStore|LoadOutcome|Subproc|RequestKey|UnknownKind|CarriesContext|StderrTail'
 
 echo "== go test -race (obshttp live scrape)"
 # The telemetry server is scraped while the pipeline runs; the httptest
