@@ -80,7 +80,9 @@ func OpenJournal(path string) (*Journal, [][]byte, SalvageReport, error) {
 	if err != nil {
 		return nil, nil, SalvageReport{}, fmt.Errorf("artifact: open journal: %w", err)
 	}
-	data, err := io.ReadAll(f)
+	// One read into a buffer sized by the file's Stat: a large manifest
+	// costs one allocation, not a doubling series.
+	data, err := os.ReadFile(path)
 	if err != nil {
 		f.Close()
 		return nil, nil, SalvageReport{}, fmt.Errorf("artifact: read journal: %w", err)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"stmdiag/internal/canon"
 	"stmdiag/internal/faultinj"
 	"stmdiag/internal/obs"
 )
@@ -63,6 +64,30 @@ type manifestEntry struct {
 	Key  string `json:"key"`
 	SHA  string `json:"sha"`
 	Size int64  `json:"size"`
+}
+
+// decodeManifestEntry is json.Unmarshal(rec, e) for a zero e. A canonical
+// record — {"key":…,"sha":…,"size":N} exactly as json.Marshal writes it,
+// which is every record Put appends — is read without reflection; any
+// other record goes to encoding/json, so the entry and the error are
+// encoding/json's for every input.
+func decodeManifestEntry(rec []byte, e *manifestEntry) error {
+	r := canon.NewReader(rec)
+	r.Lit(`{"key":`)
+	key := r.Str()
+	r.Lit(`,"sha":`)
+	sha := r.Str()
+	r.Lit(`,"size":`)
+	size := r.Int()
+	r.Lit("}")
+	if !r.Done() {
+		return json.Unmarshal(rec, e)
+	}
+	// One allocation holds both strings.
+	var buf [128]byte
+	ks := string(append(append(buf[:0], key...), sha...))
+	e.Key, e.SHA, e.Size = ks[:len(key)], ks[len(key):], int64(size)
+	return nil
 }
 
 // Store is a content-addressed, checksummed result store. Put is called
@@ -139,7 +164,7 @@ func Open(dir string, sink *obs.Sink) (*Store, error) {
 	dropped := 0
 	for _, rec := range recs {
 		var e manifestEntry
-		if err := json.Unmarshal(rec, &e); err != nil || e.Key == "" || e.SHA == "" {
+		if err := decodeManifestEntry(rec, &e); err != nil || e.Key == "" || e.SHA == "" {
 			dropped++
 			continue
 		}
@@ -315,7 +340,9 @@ func (s *Store) LoadInto(key string, decode func([]byte) error) (bool, error) {
 		}
 		s.reads.Inc()
 		sum := sha256.Sum256(data)
-		if hex.EncodeToString(sum[:]) != e.SHA || int64(len(data)) != e.Size {
+		var hx [2 * sha256.Size]byte
+		hex.Encode(hx[:], sum[:])
+		if string(hx[:]) != e.SHA || int64(len(data)) != e.Size {
 			s.evict(key, path, e)
 			return false, &Error{Key: key, Path: path, Reason: "checksum mismatch"}
 		}

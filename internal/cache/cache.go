@@ -155,6 +155,21 @@ func NewSystem(ncores int, cfg Config) (*System, error) {
 	return s, nil
 }
 
+// Reset readies s for a fresh run: every line Invalid, every counter
+// zero, telemetry detached. The pages earlier fills allocated stay, so
+// the next run fills them without allocating; a cleared page reads
+// exactly as a missing one does (all Invalid, LRU ages zero).
+func (s *System) Reset() {
+	s.tick = 0
+	s.tel = telemetry{}
+	for _, c := range s.caches {
+		c.stats = Stats{}
+		for _, pg := range c.pages {
+			clear(pg)
+		}
+	}
+}
+
 // MustNewSystem is NewSystem with a panic on configuration error; for use
 // with the package defaults.
 func MustNewSystem(ncores int, cfg Config) *System {

@@ -64,6 +64,7 @@ func runConc(a *apps.App, inst *core.Instrumented, w apps.Workload, seed int64, 
 	opts.LCRSize = cfg.LCRSize
 	opts.Obs = tc.Sink
 	opts.Faults = tc.Faults
+	opts.Spare = tc.sess.spare()
 	return vm.Run(inst.Prog, opts)
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -65,6 +66,102 @@ func cachedBuild(a *apps.App, opts core.Options) (*core.Instrumented, error) {
 	return v.(*core.Instrumented), nil
 }
 
+// session is one executor session's state: the runs its trials recorded
+// (record.go), the params its kinds last decoded, and the storage its VM
+// runs leave for the next (vm.Spare). A nil session keeps nothing.
+type session struct {
+	recs   recordings
+	params paramsCache
+	vms    vm.Spare
+}
+
+func (s *session) recordings() *recordings {
+	if s == nil {
+		return nil
+	}
+	return &s.recs
+}
+
+func (s *session) spare() *vm.Spare {
+	if s == nil {
+		return nil
+	}
+	return &s.vms
+}
+
+// kindParams is a trial kind's params type; resolve names the run its
+// value describes, with app and build resolved.
+type kindParams interface {
+	resolve() (runKey, error)
+}
+
+// resolved is one params value, decoded, and the run it names.
+type resolved[P kindParams] struct {
+	P P
+	k runKey
+}
+
+// paramsCache holds one executor session's last resolved params of each
+// kind, keyed by their raw bytes. A fan-out's trials all carry one params
+// value, so they decode and resolve it once; one entry per kind bounds
+// the cache. The zero value is ready.
+type paramsCache struct {
+	mu   sync.Mutex
+	last map[string]cachedParams
+}
+
+type cachedParams struct {
+	raw json.RawMessage
+	val any // *resolved[P] of the kind's P
+}
+
+// sessionParams decodes raw into a P and resolves it, or returns the
+// session's last result for kind when raw has its bytes: decoding and
+// resolving are pure functions of the bytes, so the kept result is the
+// one a fresh decode would give. A failure is not kept.
+func sessionParams[P kindParams](s *session, kind string, raw json.RawMessage) (*resolved[P], error) {
+	var c *paramsCache
+	if s != nil {
+		c = &s.params
+		c.mu.Lock()
+		e, ok := c.last[kind]
+		c.mu.Unlock()
+		if ok && bytes.Equal(e.raw, raw) {
+			return e.val.(*resolved[P]), nil
+		}
+	}
+	r := &resolved[P]{}
+	if err := json.Unmarshal(raw, &r.P); err != nil {
+		return nil, err
+	}
+	var err error
+	if r.k, err = r.P.resolve(); err != nil {
+		return nil, err
+	}
+	if c != nil {
+		c.mu.Lock()
+		if c.last == nil {
+			c.last = make(map[string]cachedParams)
+		}
+		c.last[kind] = cachedParams{raw, r}
+		c.mu.Unlock()
+	}
+	return r, nil
+}
+
+// profileKey names the driver-serviced run of app's build.
+func profileKey(app string, build core.Options, lbrSize int) (runKey, error) {
+	a, err := kindApp(app)
+	if err != nil {
+		return runKey{}, err
+	}
+	inst, err := cachedBuild(a, build)
+	if err != nil {
+		return runKey{}, err
+	}
+	return runKey{app: a, build: inst, lbrSize: lbrSize, driver: true}, nil
+}
+
 // failProfileParams parameterizes one failure-run capture trial.
 type failProfileParams struct {
 	App     string       `json:"app"`
@@ -73,25 +170,22 @@ type failProfileParams struct {
 	LBRSize int          `json:"lbrSize,omitempty"`
 }
 
+func (p failProfileParams) resolve() (runKey, error) {
+	k, err := profileKey(p.App, p.Build, p.LBRSize)
+	k.fail = true
+	return k, err
+}
+
 // failProfileKind runs the failure workload on an instrumented build and
 // extracts the failure-run profile. A run that did not fail (or errored)
 // is rejected, not fatal — concurrency benchmarks fail probabilistically.
 // A certified recording of the build stands in for the run.
 func failProfileKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error) {
-	var P failProfileParams
-	if err := json.Unmarshal(raw, &P); err != nil {
-		return nil, false, err
-	}
-	a, err := kindApp(P.App)
+	pt, err := sessionParams[failProfileParams](tc.sess, "fail-profile", raw)
 	if err != nil {
 		return nil, false, err
 	}
-	inst, err := cachedBuild(a, P.Build)
-	if err != nil {
-		return nil, false, err
-	}
-	k := runKey{app: a, fail: true, build: inst, lbrSize: P.LBRSize, driver: true}
-	prof, err := failureProfileOf(k, TrialSeed(P.Seed, stream, tc.Index), tc)
+	prof, err := failureProfileOf(pt.k, TrialSeed(pt.P.Seed, stream, tc.Index), tc)
 	if err != nil {
 		return vm.Profile{}, false, nil
 	}
@@ -109,27 +203,22 @@ type succProfileParams struct {
 	Strict bool `json:"strict,omitempty"`
 }
 
+func (p succProfileParams) resolve() (runKey, error) {
+	return profileKey(p.App, p.Build, p.LBRSize)
+}
+
 // succProfileKind runs the success workload and extracts the comparable
 // success profile, falling back to the same-site failure snapshot for
 // unconditional sites. A certified recording of the build stands in for
 // the run; it shares its key with the build's mean-cycles trials.
 func succProfileKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error) {
-	var P succProfileParams
-	if err := json.Unmarshal(raw, &P); err != nil {
-		return nil, false, err
-	}
-	a, err := kindApp(P.App)
+	pt, err := sessionParams[succProfileParams](tc.sess, "succ-profile", raw)
 	if err != nil {
 		return nil, false, err
 	}
-	inst, err := cachedBuild(a, P.Build)
+	r, err := tc.profiles(pt.k, TrialSeed(pt.P.Seed, stream, tc.Index))
 	if err != nil {
-		return nil, false, err
-	}
-	k := runKey{app: a, build: inst, lbrSize: P.LBRSize, driver: true}
-	r, err := tc.profiles(k, TrialSeed(P.Seed, stream, tc.Index))
-	if err != nil {
-		if P.Strict {
+		if pt.P.Strict {
 			return vm.Profile{}, false, err
 		}
 		return vm.Profile{}, false, nil
@@ -159,20 +248,21 @@ type cbiRunParams struct {
 	Active *[]string `json:"active,omitempty"`
 }
 
+func (p cbiRunParams) resolve() (runKey, error) {
+	a, err := kindApp(p.App)
+	return runKey{app: a, fail: p.WantFail}, err
+}
+
 // cbiRunKind executes one CBI-instrumented run on the uninstrumented
 // program and returns its sampled predicate observations. A certified
 // recording of the workload stands in for the run: cbi.ReplayRun samples
 // the recorded branch-site stream instead, with the same restriction.
 func cbiRunKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error) {
-	var P cbiRunParams
-	if err := json.Unmarshal(raw, &P); err != nil {
-		return nil, false, err
-	}
-	a, err := kindApp(P.App)
+	ct, err := sessionParams[cbiRunParams](tc.sess, "cbi-run", raw)
 	if err != nil {
 		return nil, false, err
 	}
-	k := runKey{app: a, fail: P.WantFail}
+	P, a, k := &ct.P, ct.k.app, ct.k
 	seed := TrialSeed(P.Seed, stream, tc.Index)
 	var active map[string]bool
 	if P.Active != nil {
@@ -190,7 +280,7 @@ func cbiRunKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error
 		ro.Failed = P.WantFail
 		return ro, true, nil
 	}
-	m, err := k.machine(seed, tc.Sink, tc.Faults)
+	m, err := k.machine(seed, tc)
 	if err != nil {
 		return cbi.RunObs{}, false, err
 	}
@@ -221,25 +311,28 @@ type meanCyclesParams struct {
 	LBRSize int           `json:"lbrSize,omitempty"`
 }
 
+func (p meanCyclesParams) resolve() (runKey, error) {
+	a, err := kindApp(p.App)
+	if err != nil {
+		return runKey{}, err
+	}
+	k := runKey{app: a, lbrSize: p.LBRSize, driver: true}
+	if p.Build != nil {
+		k.build, err = cachedBuild(a, *p.Build)
+	}
+	return k, err
+}
+
 // meanCyclesKind runs the success workload once and returns its cycle
 // count. Errors are hard (Map semantics: overhead averages index results
 // positionally). A certified recording stands in for the run: its cycles,
 // plus the CBI hook's replayed sampling cost when the hook is on.
 func meanCyclesKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error) {
-	var P meanCyclesParams
-	if err := json.Unmarshal(raw, &P); err != nil {
-		return nil, false, err
-	}
-	a, err := kindApp(P.App)
+	mt, err := sessionParams[meanCyclesParams](tc.sess, "mean-cycles", raw)
 	if err != nil {
 		return nil, false, err
 	}
-	k := runKey{app: a, lbrSize: P.LBRSize, driver: true}
-	if P.Build != nil {
-		if k.build, err = cachedBuild(a, *P.Build); err != nil {
-			return nil, false, err
-		}
-	}
+	P, a, k := &mt.P, mt.k.app, mt.k
 	seed := TrialSeed(P.Seed, stream, tc.Index)
 	// Recordings keep the site stream of the plain program only, so a
 	// hooked instrumented build always runs.
@@ -254,7 +347,7 @@ func meanCyclesKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, e
 			return cycles, true, nil
 		}
 	}
-	m, err := k.machine(seed, tc.Sink, tc.Faults)
+	m, err := k.machine(seed, tc)
 	if err != nil {
 		return uint64(0), false, err
 	}
@@ -278,22 +371,20 @@ type concProfileParams struct {
 	LCRSize  int           `json:"lcrSize,omitempty"`
 }
 
+// resolve names the app and build; runConc configures the run itself.
+func (p concProfileParams) resolve() (runKey, error) {
+	return profileKey(p.App, p.Build, 0)
+}
+
 // concProfileKind runs one interleaving trial under an LCR configuration
 // and extracts the requested profile. A run with the wrong outcome is
 // rejected; a VM error is fatal.
 func concProfileKind(raw json.RawMessage, stream string, tc *Trial) (any, bool, error) {
-	var P concProfileParams
-	if err := json.Unmarshal(raw, &P); err != nil {
-		return nil, false, err
-	}
-	a, err := kindApp(P.App)
+	ct, err := sessionParams[concProfileParams](tc.sess, "conc-profile", raw)
 	if err != nil {
 		return nil, false, err
 	}
-	inst, err := cachedBuild(a, P.Build)
-	if err != nil {
-		return nil, false, err
-	}
+	P, a, inst := &ct.P, ct.k.app, ct.k.build
 	w := a.Fail
 	if !P.WantFail {
 		w = a.Succeed

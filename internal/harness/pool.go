@@ -82,10 +82,11 @@ type Trial struct {
 	Sink    *obs.Sink
 	Faults  *faultinj.Plan
 
-	// recs is the executor session's recorded runs, which certified
-	// profile, cbi-run and mean-cycles trials derive their results from
-	// (record.go); nil runs every trial on the VM.
-	recs *recordings
+	// sess is the executor session the trial runs in: its recorded runs,
+	// which certified profile, cbi-run and mean-cycles trials derive
+	// their results from (record.go), its decoded params and its VM
+	// storage (kinds.go). Nil runs every trial on the VM, from scratch.
+	sess *session
 }
 
 // TrialError records a trial that exhausted its retry budget: every attempt
@@ -358,6 +359,7 @@ func run[T any](p *Pool, max, need int, label string, rn wireRunner[T]) ([]T, in
 	if p.store != nil {
 		rn.keys = newTrialKeys(p.wireRequest(label, 0, rn.kind, rn.params))
 	}
+	rn.names = make([]map[string]string, p.jobs)
 	var traceStart uint64
 	tr := p.sink.Tracer()
 	if tr != nil {

@@ -6,7 +6,6 @@ import (
 	"stmdiag/internal/apps"
 	"stmdiag/internal/cbi"
 	"stmdiag/internal/core"
-	"stmdiag/internal/faultinj"
 	"stmdiag/internal/kernel"
 	"stmdiag/internal/obs"
 	"stmdiag/internal/vm"
@@ -43,12 +42,14 @@ func (k runKey) workload() apps.Workload {
 	return k.app.Succeed
 }
 
-// machine builds the run k names at one seed, reporting into sink under
-// the fault plan.
-func (k runKey) machine(seed int64, sink *obs.Sink, faults *faultinj.Plan) (*vm.Machine, error) {
+// machine builds the run k names at one seed, reporting into tc's sink
+// under its fault plan; a nil tc is the recording run, with neither.
+func (k runKey) machine(seed int64, tc *Trial) (*vm.Machine, error) {
 	opts := k.workload().VMOptions(seed)
 	opts.LBRSize = k.lbrSize
-	opts.Obs, opts.Faults = sink, faults
+	if tc != nil {
+		opts.Obs, opts.Faults, opts.Spare = tc.Sink, tc.Faults, tc.sess.spare()
+	}
 	p := k.app.Program()
 	if k.build != nil {
 		p, opts.SegvIoctls = k.build.Prog, k.build.SegvIoctls
@@ -127,7 +128,7 @@ func (r *recordings) lookup(k runKey) *recording {
 // success profiles; the site stream is kept for the plain program only:
 // that is the program the CBI hook instruments.
 func (rec *recording) record(k runKey) {
-	m, err := k.machine(0, nil, nil)
+	m, err := k.machine(0, nil)
 	if err != nil {
 		return
 	}
@@ -150,7 +151,7 @@ func (tc *Trial) derived(k runKey) *recording {
 	if tc.Faults.Spec().ArmsCapture() {
 		return nil
 	}
-	return tc.recs.lookup(k)
+	return tc.sess.recordings().lookup(k)
 }
 
 // chargeDerived advances the trial sink's cycle clock by a derived run's
@@ -172,7 +173,7 @@ func (tc *Trial) profiles(k runKey, seed int64) (profiledRun, error) {
 		chargeDerived(tc.Sink, rec.cycles)
 		return rec.profiledRun, nil
 	}
-	m, err := k.machine(seed, tc.Sink, tc.Faults)
+	m, err := k.machine(seed, tc)
 	if err != nil {
 		return profiledRun{}, err
 	}

@@ -17,16 +17,16 @@ import (
 )
 
 // runKind executes one kind body as trial i of stream, against a fresh
-// metrics sink, with recs as the session's recordings (nil: run live). It
-// returns the JSON value, the verdict and the trial sink's counters.
-func runKind(t *testing.T, kf kindFunc, params any, stream string, i int, recs *recordings, faults *faultinj.Plan) (string, bool, obs.Snapshot) {
+// metrics sink, in session sess (nil: run live). It returns the JSON
+// value, the verdict and the trial sink's counters.
+func runKind(t *testing.T, kf kindFunc, params any, stream string, i int, sess *session, faults *faultinj.Plan) (string, bool, obs.Snapshot) {
 	t.Helper()
 	raw, err := json.Marshal(params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := testWireSink()
-	v, ok, err := kf(raw, stream, &Trial{Index: i, Sink: sink, Faults: faults, recs: recs})
+	v, ok, err := kf(raw, stream, &Trial{Index: i, Sink: sink, Faults: faults, sess: sess})
 	if err != nil {
 		t.Fatalf("%s trial %d: %v", stream, i, err)
 	}
@@ -85,7 +85,7 @@ func TestDerivedMatchesLive(t *testing.T) {
 		specs = append(specs, spec)
 	}
 	for _, a := range apps.Sequential() {
-		recs := &recordings{}
+		sess := &session{}
 		check := func(kind string, kf kindFunc, params any) {
 			t.Helper()
 			stream := a.Name + "/" + kind
@@ -93,7 +93,7 @@ func TestDerivedMatchesLive(t *testing.T) {
 				for i := 0; i < seeds; i++ {
 					plan := func() *faultinj.Plan { return faultinj.NewPlan(spec, 0, stream, i, 0, nil) }
 					want, wantOK, live := runKind(t, kf, params, stream, i, nil, plan())
-					got, gotOK, derived := runKind(t, kf, params, stream, i, recs, plan())
+					got, gotOK, derived := runKind(t, kf, params, stream, i, sess, plan())
 					if got != want || gotOK != wantOK {
 						t.Errorf("%s %s %+v faults %q seed %d: derived (%v) %s, live (%v) %s",
 							a.Name, kind, params, spec, i, gotOK, got, wantOK, want)
@@ -131,7 +131,7 @@ func TestDerivedMatchesLive(t *testing.T) {
 		// driver vs driver), per workload; plus one success-workload key
 		// per build, which the reactive succ-profile trials share; plus
 		// the failure workload on the two fail-profile builds.
-		if n := len(recs.runs); n != 2+1+4+2 {
+		if n := len(sess.recs.runs); n != 2+1+4+2 {
 			t.Errorf("%s: %d recordings, want 9", a.Name, n)
 		}
 	}
@@ -149,9 +149,9 @@ func TestDerivedFallsBackToVM(t *testing.T) {
 			t.Errorf("%s trial %d: vm.runs = %d, harness.trials.derived = %d; want 1, 0", what, i, n, d)
 		}
 	}
-	recs := &recordings{}
+	sess := &session{}
 	for i := 0; i < 3; i++ {
-		_, _, snap := runKind(t, meanCyclesKind, ovParams(), "fb/ov", i, recs, nil)
+		_, _, snap := runKind(t, meanCyclesKind, ovParams(), "fb/ov", i, sess, nil)
 		live("multi-threaded "+apps.RWWMicro.Name, i, snap)
 	}
 	conc := apps.Concurrent()[0]
@@ -165,17 +165,17 @@ func TestDerivedFallsBackToVM(t *testing.T) {
 		{succProfileKind, succProfileParams{App: conc.Name, Build: concBuild, Seed: 3}},
 	} {
 		for i := 0; i < 3; i++ {
-			_, _, snap := runKind(t, c.kf, c.params, "fb/conc", i, recs, nil)
+			_, _, snap := runKind(t, c.kf, c.params, "fb/conc", i, sess, nil)
 			live(fmt.Sprintf("multi-threaded %+v", c.params), i, snap)
 		}
 	}
-	for k, rec := range recs.runs {
+	for k, rec := range sess.recs.runs {
 		if rec.ok {
 			t.Errorf("%s recording certified, but its run spawns threads", k.app.Name)
 		}
 	}
 
-	armed := &recordings{}
+	armed := &session{}
 	sort := apps.ByName("sort")
 	builds := seqBuilds(t, sort)
 	for _, in := range []string{"rate=0.01,seed=3", "lbr-drop=0.01"} {
@@ -199,7 +199,7 @@ func TestDerivedFallsBackToVM(t *testing.T) {
 			}
 		}
 	}
-	if n := len(armed.runs); n != 0 {
+	if n := len(armed.recs.runs); n != 0 {
 		t.Errorf("fault-armed trials recorded %d runs, want none", n)
 	}
 }

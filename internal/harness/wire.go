@@ -28,9 +28,14 @@ import (
 // degradation); and every result value crosses a JSON round trip even
 // in-process, so "fresh in-process", "fresh subprocess" and "resumed from
 // the store" are literally the same bytes by construction, not by careful
-// equivalence. Every stream — Tables 1–9, coverage sweeps, adaptive
-// search, report bundles — runs this way, so each one honours the
-// executor choice and the artifact store.
+// equivalence. The canonical bytes are written once, by executeWire: the
+// trial codec (codec.go) writes exactly what json.Marshal writes for the
+// hot result types and the stored envelope, and json.Marshal writes the
+// rest. Every reader accepts only those canonical bytes and hands any
+// other input to encoding/json, so every decoded result, and every
+// decode error, is the one encoding/json gives. Every stream — Tables 1–9,
+// coverage sweeps, adaptive search, report bundles — runs this way, so
+// each one honours the executor choice and the artifact store.
 
 // TrialRequest is one trial, as data. Its identity — what the artifact key
 // hashes — is (Stream, Index, Kind, Params, Faults, FaultSeed). The
@@ -161,9 +166,9 @@ func wireSink(req *TrialRequest) *obs.Sink {
 // plan; one sink spans all attempts, so a panicked attempt's partial
 // telemetry commits with it (deterministically — the attempt sequence is a
 // pure function of the request). Counters land on the trial sink, not the
-// pool, so their merged totals stay jobs-invariant. recs is the calling
-// executor session's recorded runs (nil: none).
-func executeWire(req *TrialRequest, recs *recordings) *TrialResponse {
+// pool, so their merged totals stay jobs-invariant. sess is the calling
+// executor's session (nil: none).
+func executeWire(req *TrialRequest, sess *session) *TrialResponse {
 	kf, known := trialKinds[req.Kind]
 	if !known {
 		err := fmt.Errorf("harness: unknown trial kind %q (version skew between coordinator and worker?)", req.Kind)
@@ -184,7 +189,7 @@ func executeWire(req *TrialRequest, recs *recordings) *TrialResponse {
 			Attempt: attempt,
 			Sink:    s,
 			Faults:  faultinj.NewPlan(req.Faults, req.FaultSeed, req.Stream, req.Index, attempt, s),
-			recs:    recs,
+			sess:    sess,
 		}
 		v, ok, err, pan := guardedCall(kf, req, tc)
 		if pan == nil {
@@ -192,7 +197,7 @@ func executeWire(req *TrialRequest, recs *recordings) *TrialResponse {
 			case err != nil:
 				resp.Err, resp.errVal = err.Error(), err
 			case ok:
-				data, merr := json.Marshal(v)
+				data, merr := marshalValue(v)
 				if merr != nil {
 					merr = fmt.Errorf("harness: encode %q trial %d result: %w", req.Stream, req.Index, merr)
 					resp.Err, resp.errVal = merr.Error(), merr
@@ -305,19 +310,22 @@ func newTrialKeys(req *TrialRequest) trialKeys {
 }
 
 func (k trialKeys) key(index int) string {
-	buf := make([]byte, 0, len(k.head)+20+len(k.tail))
-	buf = append(strconv.AppendInt(append(buf, k.head...), int64(index), 10), k.tail...)
+	var stack [512]byte
+	buf := append(strconv.AppendInt(append(stack[:0], k.head...), int64(index), 10), k.tail...)
 	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:])
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
 
 // wireOutcome converts an executed TrialResponse into the pool's
-// trialOutcome, decoding the value and reconstructing degradation.
-func wireOutcome[T any](label string, i int, resp *TrialResponse, persist func()) trialOutcome[T] {
+// trialOutcome, decoding the value and reconstructing degradation. names
+// interns the value's predicate branch names (nil: none).
+func wireOutcome[T any](label string, i int, resp *TrialResponse, persist func(), names map[string]string) trialOutcome[T] {
 	o, accepted := respOutcome[T](label, i, resp)
 	o.persist = persist
 	if accepted {
-		if err := json.Unmarshal(resp.Value, &o.val); err != nil {
+		if err := unmarshalValue(resp.Value, &o.val, names); err != nil {
 			o.err = fmt.Errorf("harness: decode %q trial %d result: %w", label, i, err)
 		} else {
 			o.ok = true
@@ -353,13 +361,18 @@ type storedRecord[T any] struct {
 	Value T `json:"value"`
 }
 
-// loadOutcome decodes a stored trial record in one pass. A record that
-// does not decode — its value not a T included — is an error: a record to
-// repair.
-func loadOutcome[T any](label string, i int, data []byte) (trialOutcome[T], error) {
+// loadOutcome decodes a stored trial record in one pass: a canonical
+// envelope through the trial codec, any other record through
+// encoding/json. A record that does not decode — its value not a T
+// included — is an error: a record to repair. names interns the value's
+// predicate branch names (nil: none).
+func loadOutcome[T any](label string, i int, data []byte, names map[string]string) (trialOutcome[T], error) {
 	var rec storedRecord[T]
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return trialOutcome[T]{}, err
+	if !readStored(data, &rec, names) {
+		rec = storedRecord[T]{}
+		if err := json.Unmarshal(data, &rec); err != nil {
+			return trialOutcome[T]{}, err
+		}
 	}
 	o, accepted := respOutcome[T](label, i, &rec.TrialResponse)
 	if accepted {
@@ -374,6 +387,9 @@ func loadOutcome[T any](label string, i int, data []byte) (trialOutcome[T], erro
 // the correlation context, which names a scheduling fact (which worker ran
 // the trial) and would otherwise make store contents executor-variant.
 func encodeStored(resp *TrialResponse) ([]byte, error) {
+	if b, ok := storedEnvelope(resp); ok {
+		return b, nil
+	}
 	stored := *resp
 	stored.Ctx = nil
 	return json.Marshal(&stored)
@@ -387,16 +403,23 @@ type wireRunner[T any] struct {
 	kind   string
 	params json.RawMessage
 	keys   trialKeys // set by run when the pool has a store
+	// names interns the predicate branch names its results decode, one
+	// table per worker, so a fan-out's trials share one string per name.
+	names []map[string]string
 }
 
 func (r wireRunner[T]) runOne(p *Pool, w int, label string, i int) trialOutcome[T] {
-	req := p.wireRequest(label, i, r.kind, r.params)
+	names := r.names[w]
+	if names == nil {
+		names = make(map[string]string)
+		r.names[w] = names
+	}
 	var key string
 	if p.store != nil {
 		key = r.keys.key(i)
 		var o trialOutcome[T]
 		hit, aerr := p.store.LoadInto(key, func(data []byte) (err error) {
-			o, err = loadOutcome[T](label, i, data)
+			o, err = loadOutcome[T](label, i, data, names)
 			return err
 		})
 		if aerr != nil {
@@ -417,7 +440,7 @@ func (r wireRunner[T]) runOne(p *Pool, w int, label string, i int) trialOutcome[
 	if p.workerBusy != nil {
 		start = time.Now()
 	}
-	resp, err := p.exec.Run(req)
+	resp, err := p.exec.Run(p.wireRequest(label, i, r.kind, r.params))
 	if p.workerBusy != nil {
 		p.workerBusy[w].Add(uint64(time.Since(start)))
 	}
@@ -447,7 +470,7 @@ func (r wireRunner[T]) runOne(p *Pool, w int, label string, i int) trialOutcome[
 			}
 		}
 	}
-	return wireOutcome[T](label, i, resp, persist)
+	return wireOutcome[T](label, i, resp, persist, names)
 }
 
 // CollectKind runs trials 0, 1, ... of stream — each one the registered
@@ -531,15 +554,16 @@ type Executor interface {
 // InprocExecutor runs trials in this process — the default. Trial sinks
 // are built purely from the request (private registry, ring and tracer,
 // merged by the pool at commit), identically to a subprocess worker. The
-// executor is one session: it keeps the runs its trials recorded
-// (record.go) for as long as it lives. The zero value is ready to use.
+// executor is one session: it keeps the runs its trials recorded and the
+// params they decoded for as long as it lives. The zero value is ready to
+// use.
 type InprocExecutor struct {
-	recs recordings
+	sess session
 }
 
 // Run executes the trial on the calling goroutine.
 func (e *InprocExecutor) Run(req *TrialRequest) (*TrialResponse, error) {
-	return executeWire(req, &e.recs), nil
+	return executeWire(req, &e.sess), nil
 }
 
 // Close is a no-op.
@@ -637,13 +661,14 @@ func (c *wireCompactor) compactTracks(tracks []obs.TrackName) []obs.TrackName {
 // and respawns workers rather than attempting to resynchronize a stream.
 // Responses are compacted per session: merge-neutral repeats (zero-valued
 // families, unchanged track names) ship only once per worker lifetime. The
-// session also keeps the runs its trials recorded (record.go).
+// session also keeps the runs its trials recorded and the params they
+// decoded.
 func WorkerMain(r io.Reader, w io.Writer) error {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	comp := newWireCompactor()
-	var recs recordings
+	var sess session
 	for {
 		var req TrialRequest
 		if err := dec.Decode(&req); err != nil {
@@ -652,7 +677,7 @@ func WorkerMain(r io.Reader, w io.Writer) error {
 			}
 			return fmt.Errorf("harness: worker decode request: %w", err)
 		}
-		resp := executeWire(&req, &recs)
+		resp := executeWire(&req, &sess)
 		comp.compact(resp)
 		if err := enc.Encode(resp); err != nil {
 			return fmt.Errorf("harness: worker encode response: %w", err)

@@ -486,8 +486,8 @@ func checkLoadOutcome[T any](t *testing.T, name string, resp *TrialResponse) {
 	if err := json.Unmarshal(data, &parsed); err != nil {
 		t.Fatal(err)
 	}
-	want := wireOutcome[T]("lo", 3, &parsed, nil)
-	got, err := loadOutcome[T]("lo", 3, data)
+	want := wireOutcome[T]("lo", 3, &parsed, nil, nil)
+	got, err := loadOutcome[T]("lo", 3, data, nil)
 	if err != nil {
 		t.Fatalf("%s: loadOutcome: %v", name, err)
 	}

@@ -131,13 +131,18 @@ func SortScored[E comparable](out []Scored[E]) {
 func Counts[E comparable](runs []Run[E]) (inFail, inSucc map[E]int, failTotal, succTotal int) {
 	inFail = make(map[E]int)
 	inSucc = make(map[E]int)
+	var seen map[E]bool // one set for every run, cleared between them
 	for _, r := range runs {
 		if r.Failed {
 			failTotal++
 		} else {
 			succTotal++
 		}
-		seen := make(map[E]bool, len(r.Events))
+		if seen == nil {
+			seen = make(map[E]bool, len(r.Events))
+		} else {
+			clear(seen)
+		}
 		for _, e := range r.Events {
 			if seen[e] {
 				continue

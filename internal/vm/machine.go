@@ -115,6 +115,11 @@ type Options struct {
 	// per-core LBRs, per-thread LCRs, the driver's profile reads and the
 	// segfault handler — with the same deterministic plan.
 	Faults *faultinj.Plan
+	// Spare is the session's storage that outlives machines: New takes the
+	// program's run table and a cache system from it, and Run hands the
+	// cache system back when it returns, so a machine on a Spare runs
+	// once. Nil keeps nothing.
+	Spare *Spare
 }
 
 func (o Options) withDefaults() Options {
@@ -340,16 +345,18 @@ type Machine struct {
 // New builds a machine for the program. Most callers use Run.
 func New(prog *isa.Program, opts Options) (*Machine, error) {
 	opts = opts.withDefaults()
-	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("vm: invalid program: %w", err)
+	pcs, err := opts.Spare.table(prog)
+	if err != nil {
+		return nil, err
 	}
 	m := &Machine{
 		prog:    prog,
 		opts:    opts,
 		mem:     memory.New(),
 		mutexes: make(map[int64]*mutexState),
+		pcs:     pcs,
 	}
-	cs, err := cache.NewSystem(opts.Cores, cache.DefaultConfig)
+	cs, err := opts.Spare.cacheSystem(opts.Cores)
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +397,6 @@ func New(prog *isa.Program, opts Options) (*Machine, error) {
 			}
 		}
 	}
-	m.pcs = buildPCTable(prog)
 	if opts.Obs != nil {
 		m.attachObs(opts.Obs)
 	}
@@ -622,6 +628,10 @@ func (m *Machine) Run() (*Result, error) {
 		m.res.CacheStats = append(m.res.CacheStats, m.cache.Stats(i))
 	}
 	m.finishRun()
+	if m.opts.Spare != nil {
+		m.opts.Spare.release(m.cache)
+		m.cache = nil
+	}
 	return &m.res, nil
 }
 

@@ -51,8 +51,10 @@ go test -race ./internal/fleet/...
 
 echo "== fuzz corpus replay"
 # Replays the committed seed corpora (f.Add seeds + testdata/fuzz entries)
-# as regular tests; no fuzzing time is spent.
-go test ./internal/stats ./internal/pmu ./internal/faultinj ./internal/synth ./internal/obs ./internal/rng -run 'Fuzz'
+# as regular tests; no fuzzing time is spent. The harness and artifact
+# targets hold the trial codec and the manifest reader to encoding/json.
+go test ./internal/stats ./internal/pmu ./internal/faultinj ./internal/synth ./internal/obs ./internal/rng \
+    ./internal/harness ./internal/artifact -run 'Fuzz'
 
 echo "== fuzz VM dispatch (bounded)"
 # Explores new programs against the VM's batched register-only runs:
